@@ -1,38 +1,77 @@
-"""Kernel dispatch: compiled _speedups when importable and safe, else pure Python.
+"""Enumeration kernels: the two hot loops, in pure Python with exact integers.
 
-The compiled sweep works in signed 64-bit arithmetic, so it is only used
-when the working modulus p^k stays below 2^30 (sums of three products must
-fit in an int64).  Larger moduli transparently fall back to the pure
-implementation, which uses Python integers.
+* ``trace_norm_histogram`` -- one pass over all p^3 elements of a cubic
+  algebra F_p[T]/(f), tallying units by (trace, norm).
+* ``zero_class_sweep`` -- one pass over the branch classes n = 0..total-1,
+  collecting the n with Tr(gamma * eta^n) = c (mod p^k).
+
+Both inline the arithmetic of ``algebra.ZpCubicAlgebra``; the tests compare
+them against the algebra's own trace, norm and multiplication.
 """
 
-from . import _kernels_py
 
-try:
-    from . import _speedups
-except ImportError:  # extension not built
-    _speedups = None
+def trace_norm_histogram(p, f):
+    """Tally units of F_p[T]/(T^3+f2*T^2+f1*T+f0) by (trace, norm).
 
-HAVE_SPEEDUPS = _speedups is not None
-
-_MAX_C_MODULUS = 1 << 30
-
-
-def trace_norm_histogram(p, f, force_pure=False):
-    """Flat (trace, norm) tally of the units of F_p[T]/(f); see _kernels_py."""
+    Returns a flat list ``hist`` of length p*p with ``hist[s*p + n]`` the
+    number of elements of trace s and norm n != 0.  Norm-zero elements are
+    not counted.
+    """
     f0, f1, f2 = (x % p for x in f)
-    if _speedups is not None and not force_pure and p < (1 << 20):
-        return _speedups.trace_norm_histogram(p, f0, f1, f2)
-    return _kernels_py.trace_norm_histogram(p, f0, f1, f2)
+    tr1 = (-f2) % p
+    tr2 = (f2 * f2 - 2 * f1) % p
+    hist = [0] * (p * p)
+    for x2 in range(p):
+        w0 = (-f0 * x2) % p
+        ws1 = (f1 * x2) % p  # x0 - ws1 = second coord of x*T
+        w2base = (-f2 * x2) % p
+        for x1 in range(p):
+            w2 = (x1 + w2base) % p
+            v0 = (-f0 * w2) % p
+            v1 = (w0 - f1 * w2) % p
+            v2base = (-f2 * w2) % p
+            tr_part = (tr1 * x1 + tr2 * x2) % p
+            for x0 in range(p):
+                w1 = (x0 - ws1) % p
+                v2 = (w1 + v2base) % p
+                norm = (
+                    x0 * (w1 * v2 - w2 * v1)
+                    - w0 * (x1 * v2 - x2 * v1)
+                    + v0 * (x1 * w2 - x2 * w1)
+                ) % p
+                if norm:
+                    tr = (3 * x0 + tr_part) % p
+                    hist[tr * p + norm] += 1
+    return hist
 
 
-def zero_class_sweep(p, k, total, eta, gamma, f, c, force_pure=False):
-    """All n in [0, total) with Tr(gamma*eta^n) = c mod p^k; see _kernels_py."""
+def zero_class_sweep(p, k, total, eta, gamma, f, c):
+    """Collect n in [0, total) with Tr(gamma * eta^n) = c (mod p^k).
+
+    ``eta``, ``gamma`` are coefficient triples and ``f`` the cubic's
+    (f0, f1, f2); all are taken mod p^k.
+    """
     m = p**k
-    eta = tuple(x % m for x in eta)
-    gamma = tuple(x % m for x in gamma)
-    f = tuple(x % m for x in f)
-    c %= m
-    if _speedups is not None and not force_pure and m < _MAX_C_MODULUS:
-        return _speedups.zero_class_sweep(p, k, total, eta, gamma, f, c)
-    return _kernels_py.zero_class_sweep(p, k, total, eta, gamma, f, c)
+    f0, f1, f2 = (x % m for x in f)
+    e0, e1, e2 = (x % m for x in eta)
+    g0, g1, g2 = (x % m for x in gamma)
+    c = c % m
+    tr1 = (-f2) % m
+    tr2 = (f2 * f2 - 2 * f1) % m
+    r40 = (f2 * f0) % m
+    r41 = (f2 * f1 - f0) % m
+    r42 = (f2 * f2 - f1) % m
+    hits = []
+    append = hits.append
+    for n in range(total):
+        if (3 * g0 + tr1 * g1 + tr2 * g2) % m == c:
+            append(n)
+        h0 = g0 * e0
+        h1 = g0 * e1 + g1 * e0
+        h2 = g0 * e2 + g1 * e1 + g2 * e0
+        h3 = g1 * e2 + g2 * e1
+        h4 = g2 * e2
+        g0 = (h0 - h3 * f0 + h4 * r40) % m
+        g1 = (h1 - h3 * f1 + h4 * r41) % m
+        g2 = (h2 - h3 * f2 + h4 * r42) % m
+    return hits

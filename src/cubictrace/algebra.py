@@ -1,5 +1,10 @@
 """Exact arithmetic in cubic etale algebras over F_p and Z/p^k.
 
+One class, ``ZpCubicAlgebra(p, k, f)``, covers both precisions: the algebra
+A = (Z/p^k)[T]/(F) used by the branch theory, and, at k = 1, the algebra
+B = F_p[T]/(F) of the trace theorem.  ``FpCubicAlgebra(p, f)`` is shorthand
+for the k = 1 case.
+
 Conventions used throughout the package:
 
 * A cubic algebra is presented as R[T]/(F) for a monic cubic
@@ -102,182 +107,15 @@ class PrimeModulus:
             raise ValueError(f"precision exponent must be >= 1, got {self.k}")
 
 
-class FpCubicAlgebra:
-    """A cubic etale algebra B = F_p[T]/(f), f monic squarefree.
-
-    Exposes the splitting type, Frobenius sign, and the number of fixed
-    labels of the Frobenius permutation, all derived from the factorization
-    of f.
-    """
-
-    rank = 3
-
-    def __init__(self, p, f):
-        PrimeModulus(p)
-        self.p = p
-        self.k = 1
-        self.f = tuple(x % p for x in f)
-        if len(self.f) != 3:
-            raise ValueError("monic cubic needs exactly 3 lower coefficients")
-        if disc_cubic(self.f[2], self.f[1], self.f[0]) % p == 0:
-            raise ValueError(f"cubic {self.f} is not squarefree mod {p}: not etale")
-        self.roots = tuple(cubic_roots_mod_p(self.f, p))
-        nroots = len(self.roots)
-        if nroots == 3:
-            self.splitting_type = SPLIT
-        elif nroots == 1:
-            self.splitting_type = MIXED
-        else:
-            self.splitting_type = INERT
-        self.frobenius_sign = -1 if self.splitting_type == MIXED else 1
-        self.fixed_labels = nroots
-        f0, f1, f2 = self.f
-        self._tr1 = (-f2) % p
-        self._tr2 = (f2 * f2 - 2 * f1) % p
-        self.one = (1, 0, 0)
-
-    @classmethod
-    def from_roots(cls, p, roots):
-        """Split algebra F_p[T]/((T-r1)(T-r2)(T-r3)) with the given distinct roots."""
-        r1, r2, r3 = (r % p for r in roots)
-        f0 = (-r1 * r2 * r3) % p
-        f1 = (r1 * r2 + r1 * r3 + r2 * r3) % p
-        f2 = (-(r1 + r2 + r3)) % p
-        alg = cls(p, (f0, f1, f2))
-        alg.roots = (r1, r2, r3)  # keep the caller's coordinate order
-        return alg
-
-    def __repr__(self):
-        return f"FpCubicAlgebra(p={self.p}, f={self.f}, type={self.splitting_type})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FpCubicAlgebra)
-            and self.p == other.p
-            and self.f == other.f
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.f))
-
-    # -- ring operations -------------------------------------------------
-
-    def reduce(self, x):
-        p = self.p
-        return (x[0] % p, x[1] % p, x[2] % p)
-
-    def add(self, x, y):
-        p = self.p
-        return ((x[0] + y[0]) % p, (x[1] + y[1]) % p, (x[2] + y[2]) % p)
-
-    def sub(self, x, y):
-        p = self.p
-        return ((x[0] - y[0]) % p, (x[1] - y[1]) % p, (x[2] - y[2]) % p)
-
-    def scalar_mul(self, c, x):
-        p = self.p
-        return (c * x[0] % p, c * x[1] % p, c * x[2] % p)
-
-    def mul(self, x, y):
-        return _cubic_mul(x, y, self.f, self.p)
-
-    def pow(self, x, n):
-        return _generic_pow(self, x, n)
-
-    def trace(self, x):
-        return (3 * x[0] + self._tr1 * x[1] + self._tr2 * x[2]) % self.p
-
-    def mult_matrix(self, x):
-        return _cubic_mult_matrix(x, self.f, self.p)
-
-    def norm(self, x):
-        return _det3(self.mult_matrix(x), self.p)
-
-    def is_unit(self, x):
-        return self.norm(x) != 0
-
-    def inv(self, x):
-        """Multiplicative inverse; solves M_x * y = e_0 with exact cofactors."""
-        return _cubic_inv(x, self.f, self.p, self.p)
-
-    def charpoly(self, x):
-        """Characteristic polynomial of multiplication by x, as (c0, c1, c2)."""
-        return _charpoly(self, x, self.p)
-
-    def disc_charpoly(self, x):
-        c0, c1, c2 = self.charpoly(x)
-        return disc_cubic(c2, c1, c0) % self.p
-
-    def is_generator(self, x):
-        """True iff 1, x, x^2 is an F_p-basis, i.e. disc(charpoly) != 0."""
-        return self.disc_charpoly(x) != 0
-
-    def trace_dual_basis(self, omega):
-        """Basis (z0, z1, z2) trace-dual to (1, omega, omega^2).
-
-        Closed forms from the generator polynomial f_w = T^3+a*T^2+b*T+d:
-        z2 = 1/f_w'(w), z1 = (w+a)*z2, z0 = (w^2+a*w+b)*z2.
-        """
-        if not self.is_generator(omega):
-            raise ValueError("trace-dual basis needs a generator")
-        return _cubic_trace_dual(self, omega)
-
-    # -- split-coordinate layer -------------------------------------------
-
-    def split_coords(self, x):
-        """Coordinates (x(r1), x(r2), x(r3)) in the split case."""
-        if self.splitting_type != SPLIT:
-            raise ValueError("split coordinates need a split algebra")
-        p = self.p
-        return tuple((x[0] + x[1] * r + x[2] * r * r) % p for r in self.roots)
-
-    def from_split_coords(self, coords):
-        """Inverse of split_coords, by Lagrange interpolation."""
-        if self.splitting_type != SPLIT:
-            raise ValueError("split coordinates need a split algebra")
-        return _interpolate(self.roots, coords, self.p, self.p)
-
-    # -- group orders ------------------------------------------------------
-
-    def unit_group_order(self):
-        p = self.p
-        if self.splitting_type == SPLIT:
-            return (p - 1) ** 3
-        if self.splitting_type == MIXED:
-            return (p - 1) * (p * p - 1)
-        return p**3 - 1
-
-    def torus_order(self):
-        """Order of the norm-one torus T_B(F_p)."""
-        p = self.p
-        if self.splitting_type == SPLIT:
-            return (p - 1) ** 2
-        if self.splitting_type == MIXED:
-            return p * p - 1
-        return p * p + p + 1
-
-    def elements(self):
-        p = self.p
-        for c2 in range(p):
-            for c1 in range(p):
-                for c0 in range(p):
-                    yield (c0, c1, c2)
-
-    def units(self):
-        for x in self.elements():
-            if self.norm(x) != 0:
-                yield x
-
-    def element_order(self, x):
-        return _element_order(self, x, self.unit_group_order())
-
-
 class ZpCubicAlgebra:
-    """A finite etale cubic algebra A over Z/p^k, A = (Z/p^k)[T]/(F).
+    """A finite etale cubic algebra A = (Z/p^k)[T]/(F); F_p is the case k = 1.
 
     ``f_int`` keeps the caller's exact integer coefficients so the same
     algebra can be re-instantiated at higher precision (``at_precision``).
-    The reduction A/pA must be etale; it is exposed as ``reduced``.
+    The reduction B = A/pA must be etale; it is exposed as ``reduced`` (a
+    k = 1 algebra is its own reduction).  The splitting type, Frobenius sign,
+    roots mod p and number of fixed labels of the Frobenius permutation all
+    belong to B and are derived from the factorization of F mod p.
     """
 
     rank = 3
@@ -286,22 +124,37 @@ class ZpCubicAlgebra:
         PrimeModulus(p, k)
         self.p = p
         self.k = k
-        self.modulus = p**k
+        self.modulus = m = p**k
         self.f_int = tuple(int(x) for x in f_int)
-        self.f = tuple(x % self.modulus for x in self.f_int)
-        self.reduced = FpCubicAlgebra(p, self.f_int)
-        self.splitting_type = self.reduced.splitting_type
-        m = self.modulus
-        f0, f1, f2 = self.f
+        if len(self.f_int) != 3:
+            raise ValueError("monic cubic needs exactly 3 lower coefficients")
+        self.f = f0, f1, f2 = tuple(x % m for x in self.f_int)
+        if k == 1:
+            if disc_cubic(f2, f1, f0) % p == 0:
+                raise ValueError(f"cubic {self.f} is not squarefree mod {p}: not etale")
+            self.reduced = self
+            self.roots = tuple(cubic_roots_mod_p(self.f, p))
+            self.splitting_type = {3: SPLIT, 1: MIXED}.get(len(self.roots), INERT)
+        else:
+            self.reduced = ZpCubicAlgebra(p, 1, self.f_int)
+            self.roots = self.reduced.roots
+            self.splitting_type = self.reduced.splitting_type
+        self.frobenius_sign = -1 if self.splitting_type == MIXED else 1
+        self.fixed_labels = len(self.roots)
         self._tr1 = (-f2) % m
         self._tr2 = (f2 * f2 - 2 * f1) % m
+        # T^3 = -f2 T^2 - f1 T - f0 ;  T^4 = (f2^2-f1) T^2 + (f2 f1-f0) T + f2 f0
+        self._t4 = ((f2 * f0) % m, (f2 * f1 - f0) % m, (f2 * f2 - f1) % m)
         self.one = (1, 0, 0)
         self._root_ints = None
         self._split_roots = None
 
     @classmethod
     def from_split_roots(cls, p, k, roots):
-        """Split algebra (Z/p^k)[T]/(prod (T - r_i)), r_i with distinct reductions."""
+        """Split algebra (Z/p^k)[T]/(prod (T - r_i)), r_i with distinct reductions.
+
+        Split coordinates follow the caller's order of the roots.
+        """
         r1, r2, r3 = (int(r) for r in roots)
         if len({r1 % p, r2 % p, r3 % p}) != 3:
             raise ValueError("split roots must have pairwise distinct reductions")
@@ -320,7 +173,16 @@ class ZpCubicAlgebra:
         return alg
 
     def __repr__(self):
-        return f"ZpCubicAlgebra(p={self.p}, k={self.k}, f={self.f})"
+        return f"ZpCubicAlgebra(p={self.p}, k={self.k}, f={self.f}, type={self.splitting_type})"
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ZpCubicAlgebra)
+            and (self.p, self.k, self.f) == (other.p, other.k, other.f)
+        )
+
+    def __hash__(self):
+        return hash((self.p, self.k, self.f))
 
     # -- ring operations ---------------------------------------------------
 
@@ -345,31 +207,107 @@ class ZpCubicAlgebra:
         return (c * x[0] % m, c * x[1] % m, c * x[2] % m)
 
     def mul(self, x, y):
-        return _cubic_mul(x, y, self.f, self.modulus)
+        m = self.modulus
+        f0, f1, f2 = self.f
+        t40, t41, t42 = self._t4
+        x0, x1, x2 = x
+        y0, y1, y2 = y
+        h3 = x1 * y2 + x2 * y1
+        h4 = x2 * y2
+        return (
+            (x0 * y0 - h3 * f0 + h4 * t40) % m,
+            (x0 * y1 + x1 * y0 - h3 * f1 + h4 * t41) % m,
+            (x0 * y2 + x1 * y1 + x2 * y0 - h3 * f2 + h4 * t42) % m,
+        )
 
     def pow(self, x, n):
-        return _generic_pow(self, x, n)
+        if n < 0:
+            return self.pow(self.inv(x), -n)
+        out = self.one
+        base = self.reduce(x)
+        while n:
+            if n & 1:
+                out = self.mul(out, base)
+            base = self.mul(base, base)
+            n >>= 1
+        return out
 
     def trace(self, x):
         return (3 * x[0] + self._tr1 * x[1] + self._tr2 * x[2]) % self.modulus
 
+    def mult_matrix(self, x):
+        """Matrix of multiplication by x on the basis 1, T, T^2 (columns x, xT, xT^2)."""
+        m = self.modulus
+        f0, f1, f2 = self.f
+        x0, x1, x2 = x
+        w = ((-f0 * x2) % m, (x0 - f1 * x2) % m, (x1 - f2 * x2) % m)
+        v = ((-f0 * w[2]) % m, (w[0] - f1 * w[2]) % m, (w[1] - f2 * w[2]) % m)
+        return ((x0, w[0], v[0]), (x1, w[1], v[1]), (x2, w[2], v[2]))
+
     def norm(self, x):
-        return _det3(_cubic_mult_matrix(x, self.f, self.modulus), self.modulus)
+        return _det3(self.mult_matrix(x), self.modulus)
 
     def is_unit(self, x):
         return self.norm(x) % self.p != 0
 
     def inv(self, x):
-        return _cubic_inv(x, self.f, self.modulus, self.p)
+        """Multiplicative inverse; solves M_x * y = e_0 with exact cofactors."""
+        m = self.modulus
+        M = self.mult_matrix(x)
+        det = _det3(M, m)
+        if det % self.p == 0:
+            raise ZeroDivisionError(f"element {x} is not invertible")
+        dinv = _invmod(det, m)
+        (a, b, c), (d, e, ff), (g, h, i) = M
+        # first column of adj(M) = cofactors (C00, C01, C02)
+        return (
+            (e * i - ff * h) * dinv % m,
+            -(d * i - ff * g) * dinv % m,
+            (d * h - e * g) * dinv % m,
+        )
 
     def charpoly(self, x):
-        return _charpoly(self, x, self.modulus)
+        """Characteristic polynomial of multiplication by x, as (c0, c1, c2).
+
+        Computed from the power sums by Newton's identities.
+        """
+        m = self.modulus
+        p1 = self.trace(x)
+        x2 = self.mul(x, x)
+        p2 = self.trace(x2)
+        p3 = self.trace(self.mul(x2, x))
+        e1 = p1
+        e2 = (e1 * p1 - p2) * _invmod(2, m) % m
+        e3 = (e2 * p1 - e1 * p2 + p3) * _invmod(3, m) % m
+        # charpoly = T^3 - e1 T^2 + e2 T - e3
+        return ((-e3) % m, e2, (-e1) % m)
+
+    def disc_charpoly(self, x):
+        c0, c1, c2 = self.charpoly(x)
+        return disc_cubic(c2, c1, c0) % self.modulus
+
+    def is_generator(self, x):
+        """True iff 1, x, x^2 reduce to an F_p-basis, i.e. disc(charpoly) != 0 mod p."""
+        return self.disc_charpoly(x) % self.p != 0
 
     def trace_dual_basis(self, omega):
-        """Trace-dual basis to (1, omega, omega^2); omega must reduce to a generator."""
-        if not self.reduced.is_generator(self.reduced.reduce(omega)):
+        """Basis (z0, z1, z2) trace-dual to (1, omega, omega^2).
+
+        omega must reduce to a generator.  Closed forms from the generator
+        polynomial f_w = T^3+a*T^2+b*T+d:
+        z2 = 1/f_w'(w), z1 = (w+a)*z2, z0 = (w^2+a*w+b)*z2.
+        """
+        if not self.is_generator(omega):
             raise ValueError("trace-dual basis needs a generator mod p")
-        return _cubic_trace_dual(self, omega)
+        c0, c1, c2 = self.charpoly(omega)
+        w2 = self.mul(omega, omega)
+        fprime = self.add(
+            self.scalar_mul(3, w2), self.add(self.scalar_mul(2 * c2, omega), (c1, 0, 0))
+        )
+        z2 = self.inv(fprime)
+        z1 = self.mul(self.add(omega, (c2, 0, 0)), z2)
+        z0 = self.mul(self.add(w2, self.add(self.scalar_mul(c2, omega), (c1, 0, 0))), z2)
+        return z0, z1, z2
 
     def divide_exact(self, x, d):
         """Divide every coefficient by d (a power of p); drops precision."""
@@ -383,8 +321,7 @@ class ZpCubicAlgebra:
         """Order P of the reduction of eta in (A/pA)^x; requires eta a unit."""
         if not self.is_unit(eta):
             raise ValueError("period needs a unit")
-        red = self.reduced
-        return red.element_order(red.reduce(eta))
+        return self.element_order(eta)
 
     def log_tangent(self, eta, P=None):
         """U = (eta^P - 1)/p (precision k-1) and its reduction omega.
@@ -413,23 +350,62 @@ class ZpCubicAlgebra:
                 self._split_roots = tuple(r % self.modulus for r in self._root_ints)
             else:
                 self._split_roots = tuple(
-                    _hensel_lift_root(self.f, r, self.p, self.k)
-                    for r in sorted(self.reduced.roots)
+                    _hensel_lift_root(self.f, r, self.p, self.k) for r in self.roots
                 )
         return self._split_roots
 
     def split_coords(self, x):
+        """Coordinates (x(r1), x(r2), x(r3)) in the split case."""
         m = self.modulus
         return tuple(
             (x[0] + x[1] * r + x[2] * r * r) % m for r in self.split_roots()
         )
 
     def from_split_coords(self, coords):
+        """Inverse of split_coords, by Lagrange interpolation."""
         return _interpolate(self.split_roots(), coords, self.modulus, self.p)
 
+    # -- group orders (of the reduction B = A/pA) ----------------------------
+
     def unit_group_order(self):
-        # |(A/pA)^x|; the period of a unit always divides this.
-        return self.reduced.unit_group_order()
+        """|B^x|; the period of a unit always divides this."""
+        p = self.p
+        if self.splitting_type == SPLIT:
+            return (p - 1) ** 3
+        if self.splitting_type == MIXED:
+            return (p - 1) * (p * p - 1)
+        return p**3 - 1
+
+    def torus_order(self):
+        """Order of the norm-one torus T_B(F_p)."""
+        p = self.p
+        if self.splitting_type == SPLIT:
+            return (p - 1) ** 2
+        if self.splitting_type == MIXED:
+            return p * p - 1
+        return p * p + p + 1
+
+    def element_order(self, x):
+        """Multiplicative order of the reduction of x in B^x."""
+        red = self.reduced
+        return _element_order(red, red.reduce(x), red.unit_group_order())
+
+    def elements(self):
+        m = self.modulus
+        for c2 in range(m):
+            for c1 in range(m):
+                for c0 in range(m):
+                    yield (c0, c1, c2)
+
+    def units(self):
+        for x in self.elements():
+            if self.is_unit(x):
+                yield x
+
+
+def FpCubicAlgebra(p, f):
+    """The cubic etale algebra B = F_p[T]/(f): a ZpCubicAlgebra with k = 1."""
+    return ZpCubicAlgebra(p, 1, f)
 
 
 class RankDSplitAlgebra:
@@ -549,7 +525,7 @@ _CANONICAL_CACHE = {}
 
 
 def canonical_algebra(p, splitting_type):
-    """A deterministic FpCubicAlgebra of the requested splitting type.
+    """A deterministic cubic algebra over F_p (k = 1) of the requested splitting type.
 
     Split algebras use the roots (0, 1, 2); mixed and inert take the
     lexicographically first squarefree cubic of that type.
@@ -558,7 +534,7 @@ def canonical_algebra(p, splitting_type):
     if key in _CANONICAL_CACHE:
         return _CANONICAL_CACHE[key]
     if splitting_type == SPLIT:
-        alg = FpCubicAlgebra.from_roots(p, (0, 1, 2))
+        alg = ZpCubicAlgebra.from_split_roots(p, 1, (0, 1, 2))
     else:
         alg = None
         for f0 in range(p):
@@ -566,7 +542,7 @@ def canonical_algebra(p, splitting_type):
                 for f2 in range(p):
                     if disc_cubic(f2, f1, f0) % p == 0:
                         continue
-                    cand = FpCubicAlgebra(p, (f0, f1, f2))
+                    cand = ZpCubicAlgebra(p, 1, (f0, f1, f2))
                     if cand.splitting_type == splitting_type:
                         alg = cand
                         break
@@ -584,95 +560,13 @@ def canonical_algebra(p, splitting_type):
 # shared low-level helpers
 
 
-def _cubic_mul(x, y, f, m):
-    f0, f1, f2 = f
-    x0, x1, x2 = x
-    y0, y1, y2 = y
-    h0 = x0 * y0
-    h1 = x0 * y1 + x1 * y0
-    h2 = x0 * y2 + x1 * y1 + x2 * y0
-    h3 = x1 * y2 + x2 * y1
-    h4 = x2 * y2
-    # T^3 = -f2 T^2 - f1 T - f0 ;  T^4 = (f2^2-f1) T^2 + (f2 f1-f0) T + f2 f0
-    return (
-        (h0 - h3 * f0 + h4 * (f2 * f0)) % m,
-        (h1 - h3 * f1 + h4 * (f2 * f1 - f0)) % m,
-        (h2 - h3 * f2 + h4 * (f2 * f2 - f1)) % m,
-    )
-
-
-def _cubic_mult_matrix(x, f, m):
-    f0, f1, f2 = f
-    x0, x1, x2 = x
-    w = ((-f0 * x2) % m, (x0 - f1 * x2) % m, (x1 - f2 * x2) % m)
-    v = ((-f0 * w[2]) % m, (w[0] - f1 * w[2]) % m, (w[1] - f2 * w[2]) % m)
-    return ((x0, w[0], v[0]), (x1, w[1], v[1]), (x2, w[2], v[2]))
-
-
 def _det3(M, m):
     (a, b, c), (d, e, f), (g, h, i) = M
     return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % m
 
 
-def _cubic_inv(x, f, m, p):
-    M = _cubic_mult_matrix(x, f, m)
-    det = _det3(M, m)
-    if det % p == 0:
-        raise ZeroDivisionError(f"element {x} is not invertible")
-    dinv = _invmod(det, m)
-    (a, b, c), (d, e, ff), (g, h, i) = M
-    # first column of adj(M) = cofactors (C00, C01, C02)
-    y0 = (e * i - ff * h) * dinv % m
-    y1 = -(d * i - ff * g) * dinv % m
-    y2 = (d * h - e * g) * dinv % m
-    return (y0, y1, y2)
-
-
 def _invmod(a, m):
     return pow(a, -1, m)
-
-
-def _cubic_trace_dual(alg, omega):
-    """Shared closed-form trace-dual basis for rank-3 algebras."""
-    m = alg.modulus if hasattr(alg, "modulus") else alg.p
-    c0, c1, c2 = alg.charpoly(omega)  # f_w = T^3 + c2 T^2 + c1 T + c0
-    w2 = alg.mul(omega, omega)
-    fprime = alg.add(
-        alg.scalar_mul(3, w2),
-        alg.add(alg.scalar_mul(2 * c2 % m, omega), (c1 % m, 0, 0)),
-    )
-    z2 = alg.inv(fprime)
-    z1 = alg.mul(alg.add(omega, (c2, 0, 0)), z2)
-    z0 = alg.mul(alg.add(w2, alg.add(alg.scalar_mul(c2, omega), (c1, 0, 0))), z2)
-    return z0, z1, z2
-
-
-def _charpoly(alg, x, m):
-    """Characteristic polynomial of mult-by-x via Newton's identities (rank 3)."""
-    p1 = alg.trace(x)
-    x2 = alg.mul(x, x)
-    p2 = alg.trace(x2)
-    p3 = alg.trace(alg.mul(x2, x))
-    inv2 = _invmod(2, m)
-    inv3 = _invmod(3, m)
-    e1 = p1 % m
-    e2 = (e1 * p1 - p2) * inv2 % m
-    e3 = (e2 * p1 - e1 * p2 + p3) * inv3 % m
-    # charpoly = T^3 - e1 T^2 + e2 T - e3
-    return ((-e3) % m, e2 % m, (-e1) % m)
-
-
-def _generic_pow(alg, x, n):
-    if n < 0:
-        return _generic_pow(alg, alg.inv(x), -n)
-    out = alg.one
-    base = alg.reduce(x)
-    while n:
-        if n & 1:
-            out = alg.mul(out, base)
-        base = alg.mul(base, base)
-        n >>= 1
-    return out
 
 
 def _element_order(alg, x, group_order):

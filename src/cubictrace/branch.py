@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _kernels
-from .algebra import PrecisionError, _invmod, vp, vp_fraction
+from .algebra import PrecisionError, ZpCubicAlgebra, _invmod, vp, vp_fraction
 
 DEFAULT_ENUM_CAP = 10**6
 
@@ -701,16 +701,15 @@ def certified_zero_set(ctx):
     return ZeroSetResult(descriptors, sorted(classes), mod_n, k, s_div)
 
 
-def brute_force_zero_oracle(ctx, cap=None, force_pure=False):
+def brute_force_zero_oracle(ctx, cap=None):
     """All n mod P*p^(k_work-1) with Tr(gamma eta^n) = c mod p^k_work, by sweep."""
     p, k = ctx.p, ctx.k_work
     total = ctx.P * p ** (k - 1)
     if total > (cap if cap is not None else ctx.enum_cap):
         raise ValueError(f"sweep size {total} exceeds enumeration cap")
-    if getattr(ctx.A, "rank", None) == 3 and hasattr(ctx.A, "f_int"):
+    if isinstance(ctx.A, ZpCubicAlgebra):
         return _kernels.zero_class_sweep(
-            p, k, total, ctx.eta_int, ctx.gamma_int, ctx.A.f_int, ctx.c_int,
-            force_pure=force_pure,
+            p, k, total, ctx.eta_int, ctx.gamma_int, ctx.A.f_int, ctx.c_int
         )
     # generic (rank-d) pure sweep
     A = ctx.A

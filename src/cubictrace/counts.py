@@ -13,9 +13,10 @@ s != 0 and are counted by the nodal formula.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from ._kernels import trace_norm_histogram
-from .algebra import MIXED, SPLIT, FpCubicAlgebra, _invmod
+from .algebra import MIXED, SPLIT, ZpCubicAlgebra, _invmod
 
 DEFAULT_PRIME_CAP = 101
 
@@ -26,7 +27,7 @@ NODAL_FORMULA = "NodalFormula"
 
 @dataclass(frozen=True)
 class CountQuery:
-    B: FpCubicAlgebra
+    B: ZpCubicAlgebra  # over F_p (k = 1)
     s: int
     n: int
 
@@ -72,8 +73,9 @@ def brute_force_count(query, cap=DEFAULT_PRIME_CAP):
     return CountReport(value, BRUTE_FORCE)
 
 
+@cache
 def quadratic_character(p):
-    """chi as a lookup table over F_p, with chi(0) = 0."""
+    """chi as a lookup table over F_p, with chi(0) = 0; built once per p."""
     chi = [0] * p
     for x in range(1, p):
         chi[x * x % p] = 1
@@ -81,7 +83,7 @@ def quadratic_character(p):
         if chi[x] == 0:
             chi[x] = -1
     chi[0] = 0
-    return chi
+    return tuple(chi)
 
 
 def elliptic_count(p, s, n):

@@ -12,6 +12,7 @@ only in the explicitly-labelled character-sum diagnostic.
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from . import counts as counts_mod
@@ -90,6 +91,28 @@ class TorusGroup:
             raise ArithmeticError("invariant-factor decomposition failed to regenerate")
         self.coord_of = coord_of
         self.elem_of = elem_of
+
+    @cached_property
+    def exceptional(self):
+        """E_B and its kernel K_B^exc, derived once per torus.
+
+        When |E_B| = 3 the generator is a cubic character: in the split case the
+        explicit coordinate character rho(h2 * h3^2); in the cyclic (mixed/inert)
+        cases the unique order-3 character subgroup.
+        """
+        size = exceptional_size(self.B)
+        if size == 1:
+            return ExceptionalGroup(1, None, frozenset(self.all_coords()))
+        if self.B.splitting_type == SPLIT:
+            chi = _split_exceptional_character(self)
+        else:
+            # mixed and inert tori are cyclic: the order-3 dual subgroup is unique
+            assert self.d2 == 1 and self.d1 % 3 == 0
+            chi = CharacterExponent(self, self.d1 // 3, 0)
+        assert chi.order == 3
+        kernel = frozenset(c for c in self.all_coords() if chi.value_exp(c) == 0)
+        assert 3 * len(kernel) == self.order
+        return ExceptionalGroup(3, chi, kernel)
 
     def coords(self, h):
         return self.coord_of[h]
@@ -253,7 +276,7 @@ class CharacterExponent:
         return f"CharacterExponent({self.e1}, {self.e2})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExceptionalGroup:
     size: int
     generator: CharacterExponent | None
@@ -261,26 +284,8 @@ class ExceptionalGroup:
 
 
 def exceptional_group(T):
-    """E_B and its kernel K_B^exc inside T = T_B(F_p).
-
-    When |E_B| = 3 the generator is a cubic character: in the split case the
-    explicit coordinate character rho(h2 * h3^2); in the cyclic (mixed/inert)
-    cases the unique order-3 character subgroup.
-    """
-    B = T.B
-    size = exceptional_size(B)
-    if size == 1:
-        return ExceptionalGroup(1, None, frozenset(T.all_coords()))
-    if B.splitting_type == SPLIT:
-        chi = _split_exceptional_character(T)
-    else:
-        # mixed and inert tori are cyclic: the order-3 dual subgroup is unique
-        assert T.d2 == 1 and T.d1 % 3 == 0
-        chi = CharacterExponent(T, T.d1 // 3, 0)
-    assert chi.order == 3
-    kernel = frozenset(c for c in T.all_coords() if chi.value_exp(c) == 0)
-    assert 3 * len(kernel) == T.order
-    return ExceptionalGroup(3, chi, kernel)
+    """E_B and its kernel K_B^exc inside T = T_B(F_p); see TorusGroup.exceptional."""
+    return T.exceptional
 
 
 def _split_exceptional_character(T):

@@ -12,7 +12,7 @@ from cubictrace.algebra import (
     disc_cubic,
 )
 
-SPLIT5 = FpCubicAlgebra.from_roots(5, (0, 1, 2))
+SPLIT5 = ZpCubicAlgebra.from_split_roots(5, 1, (0, 1, 2))
 T = (0, 1, 0)
 
 
@@ -163,6 +163,21 @@ def test_splitting_type_metadata():
     assert algs["split"].frobenius_sign == 1 and algs["split"].fixed_labels == 3
     assert algs["mixed"].frobenius_sign == -1 and algs["mixed"].fixed_labels == 1
     assert algs["inert"].frobenius_sign == 1 and algs["inert"].fixed_labels == 0
+
+
+def test_fp_algebra_is_the_k1_case():
+    B = FpCubicAlgebra(5, (1, 1, 0))
+    assert type(B) is ZpCubicAlgebra
+    assert (B.k, B.modulus) == (1, 5) and B.reduced is B
+    assert B == ZpCubicAlgebra(5, 1, (6, -4, 10))
+    A = ZpCubicAlgebra(5, 3, (1, 1, 0))
+    assert A.reduced == B and A.reduced.k == 1
+    assert (A.splitting_type, A.frobenius_sign, A.fixed_labels) == (
+        B.splitting_type, B.frobenius_sign, B.fixed_labels,
+    )
+    # the residue-field data describe A/pA at every precision
+    assert A.unit_group_order() == B.unit_group_order() == 5**3 - 1
+    assert A.element_order((0, 1, 0)) == B.element_order((0, 1, 0))
 
 
 def test_inverse():

@@ -1,7 +1,6 @@
 import pytest
 from conftest import canonical_algebras
 
-from cubictrace._kernels import HAVE_SPEEDUPS, trace_norm_histogram
 from cubictrace.counts import (
     CountQuery,
     brute_force_count,
@@ -10,6 +9,7 @@ from cubictrace.counts import (
     is_smooth_fiber,
     nodal_count,
     nodal_parametrization,
+    quadratic_character,
     smooth_formula_count,
 )
 
@@ -186,11 +186,8 @@ def test_prime_cap():
         brute_force_count(CountQuery(alg, 0, 1), cap=3)
 
 
-def test_kernel_agreement():
-    if not HAVE_SPEEDUPS:
-        pytest.skip("compiled kernels not built")
-    for p in (5, 11):
-        for alg in canonical_algebras(p).values():
-            assert trace_norm_histogram(p, alg.f) == trace_norm_histogram(
-                p, alg.f, force_pure=True
-            )
+def test_quadratic_character_table_is_shared_and_immutable():
+    chi = quadratic_character(11)
+    assert chi is quadratic_character(11)
+    assert isinstance(chi, tuple)
+    assert chi[0] == 0 and sorted(chi[1:]) == [-1] * 5 + [1] * 5

@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 
-import pytest
+from conftest import canonical_algebras
 
 from cubictrace import _kernels
 from cubictrace.algebra import ZpCubicAlgebra, disc_cubic
@@ -13,40 +14,47 @@ def random_cubic(rng, p):
             return f
 
 
-@pytest.mark.skipif(not _kernels.HAVE_SPEEDUPS, reason="compiled kernels not built")
-def test_sweep_kernel_matches_pure():
+def test_histogram_kernel_matches_algebra_tally():
+    for p in (5, 11):
+        for B in canonical_algebras(p).values():
+            tally = Counter(
+                (B.trace(x), B.norm(x)) for x in B.elements() if B.norm(x)
+            )
+            hist = _kernels.trace_norm_histogram(p, B.f)
+            assert len(hist) == p * p
+            assert sum(hist) == B.unit_group_order()
+            for s in range(p):
+                for n in range(p):
+                    assert hist[s * p + n] == tally[(s, n)]
+
+
+def test_sweep_kernel_matches_algebra():
     rng = random.Random(0)
-    for p, k in [(5, 3), (7, 4), (11, 2)]:
-        f = random_cubic(rng, p)
+    for p, k in [(5, 1), (5, 3), (7, 2), (7, 4), (11, 2)]:
+        # unreduced (negative or large) coefficients must be taken mod p^k
+        f = tuple(x + rng.choice((-1, 0, 3)) * p**k for x in random_cubic(rng, p))
         A = ZpCubicAlgebra(p, k, f)
         m = A.modulus
-        for _ in range(5):
+        checked = 0
+        while checked < 4:
             eta = tuple(rng.randrange(m) for _ in range(3))
             if not A.is_unit(eta):
                 continue
             gamma = tuple(rng.randrange(m) for _ in range(3))
-            c = rng.randrange(m)
-            total = 500
-            fast = _kernels.zero_class_sweep(p, k, total, eta, gamma, f, c)
-            slow = _kernels.zero_class_sweep(
-                p, k, total, eta, gamma, f, c, force_pure=True
-            )
-            assert fast == slow
+            total = 200
+            # a value the trace attains, so that the sweep has hits
+            c = A.trace(A.mul(gamma, A.pow(eta, rng.randrange(total))))
+            want = [
+                n for n in range(total) if A.trace(A.mul(gamma, A.pow(eta, n))) == c
+            ]
+            assert want
+            assert _kernels.zero_class_sweep(p, k, total, eta, gamma, f, c) == want
+            checked += 1
 
 
-@pytest.mark.skipif(not _kernels.HAVE_SPEEDUPS, reason="compiled kernels not built")
-def test_histogram_kernel_matches_pure():
-    rng = random.Random(1)
-    for p in (5, 13, 31):
-        f = random_cubic(rng, p)
-        assert _kernels.trace_norm_histogram(p, f) == _kernels.trace_norm_histogram(
-            p, f, force_pure=True
-        )
-
-
-def test_sweep_dispatcher_falls_back_above_int64():
-    # p^k >= 2^30 routes to the pure path transparently and stays correct
-    p, k = 101, 5  # 101^5 = 1.05e10 > 2^30
+def test_sweep_exact_above_int64():
+    # p^k = 101^5 > 2^30: Python integers keep the congruences exact
+    p, k = 101, 5
     f = (1, 3, 0)
     A = ZpCubicAlgebra(p, k, f)
     eta = (1, 1, 0)

@@ -4,14 +4,12 @@ import random
 
 import pytest
 
-from cubictrace import _kernels
 from cubictrace.algebra import canonical_algebra
 from cubictrace.branch import BranchContext, quadratic_singular
 from cubictrace.cli import UsageError, parse_algebra_spec, parse_element
 from cubictrace.counts import CountQuery, brute_force_count, count, is_smooth_fiber
 
 
-@pytest.mark.skipif(not _kernels.HAVE_SPEEDUPS, reason="slow without compiled kernels")
 def test_formula_matches_brute_force_at_cap_prime():
     p = 101
     rng = random.Random(0)
@@ -24,7 +22,6 @@ def test_formula_matches_brute_force_at_cap_prime():
             assert count(q).value == brute_force_count(q, cap=101).value
 
 
-@pytest.mark.skipif(not _kernels.HAVE_SPEEDUPS, reason="slow without compiled kernels")
 def test_hasse_bound_at_cap_prime():
     from cubictrace.counts import elliptic_count
 

@@ -182,6 +182,7 @@ def test_exceptional_group_structure():
     for p, name in [(7, "split"), (5, "mixed"), (7, "inert")]:
         T = torus(p, name)
         exc = exceptional_group(T)
+        assert exc is exceptional_group(T)  # derived once per torus
         assert exc.size == 3
         assert exc.generator.order == 3
         assert 3 * len(exc.kernel_coords) == T.order
