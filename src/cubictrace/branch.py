@@ -12,6 +12,11 @@ The pipeline mirrors the structure of the underlying theory:
    distinguished Weierstrass factor on a residue disk, or (when no normal
    form applies) the exact digit recursion.
 
+The zeros of a distinguished factor W of degree e <= 3 on a residue disk
+are found digit by digit: p evaluations of W per surviving root of each
+level, p * sum_j |level_j| in all, instead of a scan of the p^(k0-2)
+points of the disk.
+
 Every descriptor carries the explicit set of surviving branch parameters
 t mod p^(k0-1), so the expansion of the output can be compared verbatim
 with the brute-force congruence sweep ``brute_force_zero_oracle``.  That
@@ -78,7 +83,8 @@ def denominator_clear(p, gamma_coeffs, gamma_den, c):
     else:
         gamma_int = tuple(int(g) // p ** (-shift) for g in gamma_coeffs)
     c_scaled = c * p**e_aff
-    assert c_scaled.denominator == 1
+    if c_scaled.denominator != 1:
+        raise ArithmeticError("denominator clearing left a fractional target")
     return gamma_int, int(c_scaled), e, e_aff
 
 
@@ -171,15 +177,24 @@ class BranchContext:
             self.c0 = None
             self.k0 = None
             self.s0 = None
+        self._class_points = {}
 
     # -- basic evaluations --------------------------------------------------
 
     def class_point(self, a, reduced=True):
-        """y_a = gamma * eta^a at work precision (reduced gamma0 by default)."""
-        base = self.gamma0_elt if reduced else self.gamma_elt
-        if base is None:
-            raise ValueError("context reduced away: no primitive problem")
-        return self.A.mul(base, self.A.pow(self.eta_elt, a))
+        """y_a = gamma * eta^a at work precision (reduced gamma0 by default).
+
+        Memoised per (a, reduced): f_eval, and so every digit-recursion and
+        Hensel step, asks for the same few class points again and again.
+        """
+        key = (a, reduced)
+        y = self._class_points.get(key)
+        if y is None:
+            base = self.gamma0_elt if reduced else self.gamma_elt
+            if base is None:
+                raise ValueError("context reduced away: no primitive problem")
+            y = self._class_points[key] = self.A.mul(base, self.A.pow(self.eta_elt, a))
+        return y
 
     def f_eval(self, a, t, prec, reduced=True):
         """F_{a,c}(t) mod p^prec (reduced problem by default)."""
@@ -424,11 +439,13 @@ def _distinguished_factor(H, e, p, N):
     for _ in range(1, N):
         pj *= p
         diff = _poly_sub([c % q for c in H], _poly_mul(W, V, q), q)
-        assert all(c % pj == 0 for c in diff)
+        if any(c % pj for c in diff):
+            raise ArithmeticError("Hensel lift: H - W*V is not divisible by p^j")
         dbar = [(c // pj) % p for c in diff]
         A = _poly_divmod(_poly_mul(dbar, u_h, p), gbar, p)[1]
         B, rem = _poly_divmod(_poly_sub(dbar, _poly_mul(A, hbar, p), p), gbar, p)
-        assert not rem
+        if rem:
+            raise ArithmeticError("Hensel lift: cofactor correction is not exact")
         W = [(w + pj * (A[i] if i < len(A) else 0)) % q for i, w in enumerate(W)]
         V = [(v + pj * (B[i] if i < len(B) else 0)) % q for i, v in enumerate(V)]
         V += [pj * B[i] % q for i in range(len(V), len(B))]
@@ -508,7 +525,8 @@ def _lift_simple_root(ctx, a, s_shift, rho, dG, k0):
     tau = rho
     for j in range(1, k0 - s_shift):
         val = ctx.f_eval(a, tau, s_shift + j + 1)
-        assert val % p ** (s_shift + j) == 0
+        if val % p ** (s_shift + j):
+            raise ArithmeticError("simple-root lift: F(tau) lost divisibility")
         w = -(val // p ** (s_shift + j)) * dinv % p
         tau += w * p**j
     return tau % p ** (k0 - s_shift)
@@ -544,7 +562,8 @@ def _classify_and_expand(ctx, a, k0):
     deriv = _poly_deriv(mono, p)
 
     if d_a != 0:
-        assert s_shift == 1 and len(roots) == 1 and roots[0][1] == 1
+        if s_shift != 1 or len(roots) != 1 or roots[0][1] != 1:
+            raise ArithmeticError("transverse class without a unique simple first digit")
         rho = roots[0][0]
         tau = _lift_simple_root(ctx, a, 1, rho, _poly_eval(deriv, rho, p), k0)
         return BranchDescriptor(
@@ -599,7 +618,8 @@ def _jet_roots(mono, p):
             mult = 0
             while _poly_eval(g, rho, p) == 0 and len(g) > 1:
                 g, rem = _poly_divmod(g, [(-rho) % p, 1], p)
-                assert not rem
+                if rem:
+                    raise ArithmeticError("root does not divide the jet exactly")
                 mult += 1
             if mult:
                 out.append((rho, mult))
@@ -609,20 +629,31 @@ def _jet_roots(mono, p):
 def _disk_factor_solutions(ctx, a, rho, mult, s_shift, k0):
     """Distinguished factor on the disk t = rho + Y, Y in pZ, and its solutions."""
     p = ctx.p
-    q_out = p ** (k0 - s_shift)
     poly = _series_monomial(ctx, a, k0)
     shifted = _poly_shift(poly, rho, p**k0)
     if any(c % p**s_shift for c in shifted):
         raise ArithmeticError("shifted series is not divisible by the jet shift")
     H = [c // p**s_shift for c in shifted]
     W = _distinguished_factor(H, mult, p, k0 - s_shift)
+    return W, _disk_solutions(W, rho, p, s_shift, k0)
+
+
+def _disk_solutions(W, rho, p, s_shift, k0):
+    """Sorted t = rho + Y mod p^(k0-1), Y in pZ, with W(Y) = 0 mod p^(k0-s_shift).
+
+    W(pu) mod p^(j+1) depends only on u mod p^j, so the roots Y = pu mod
+    p^N, N = max(k0 - s_shift, 1), come from the digit recursion on u:
+    p evaluations of W per survivor of each level, p * sum_j |level_j| in
+    all, instead of one per point of the p^(k0-2)-point disk.  Each root
+    mod p^N is then expanded over the p^(k0-1-N) free higher digits.
+    """
+    N = max(k0 - s_shift, 1)
+    roots = _digit_recursion_generic(lambda u, prec: _poly_eval(W, p * u, p**prec), p, N)
     mod_t = p ** (k0 - 1)
-    sols = []
-    for u in range(p ** max(0, k0 - 2)):
-        Y = p * u
-        if _poly_eval(W, Y, q_out) == 0:
-            sols.append((rho + Y) % mod_t)
-    return W, sorted(set(sols))
+    step = p**N
+    return sorted(
+        (rho + p * u + step * v) % mod_t for u in roots for v in range(p ** (k0 - 1 - N))
+    )
 
 
 def _digit_recursion_reduced(ctx, a, k0):
@@ -809,7 +840,8 @@ def cubic_degenerate(ctx, a):
         raise ValueError("class is not the degenerate singular class")
     lead = s * red.norm(omega) % p
     tr3 = red.trace(red.mul(x, red.mul(w2, omega)))
-    assert tr3 == lead
+    if tr3 != lead:
+        raise ArithmeticError("Tr(x omega^3) differs from s*Norm(omega)")
     cs = ctx.class_coefficients(a, 4)
     if cs[0] % p**3 or cs[1] % p**2 or cs[2] % p:
         raise ValueError("lower obstructions do not vanish: use the digit recursion")
@@ -932,7 +964,8 @@ def higher_order_transverse(ctx, a, r, reduced=True):
     tau = 0
     for j in range(0, max(0, K - r)):
         val = ctx.f_eval(a, tau, r + j + 1, reduced=reduced)
-        assert val % p ** (r + j) == 0
+        if val % p ** (r + j):
+            raise ArithmeticError("higher-order lift: F(tau) lost divisibility")
         w = -(val // p ** (r + j)) * dinv % p
         tau += w * p**j
     return tau, omega_r, d_r

@@ -155,10 +155,22 @@ class TorusGroup:
         """
         if exhaustive is None:
             exhaustive = self.order <= EXHAUSTIVE_SUBGROUP_CAP
+        # each cyclic subgroup is labelled by its first generator in
+        # all_coords() order; its other generators j*v, gcd(j, |H|) = 1,
+        # span the same H and are skipped
         cyclic = {}
+        covered = set()
         for v in self.all_coords():
+            if v in covered:
+                continue
             H = self.span([v])
-            cyclic.setdefault(H, v)
+            cyclic[H] = v
+            n = len(H)
+            covered.update(
+                ((j * v[0]) % self.d1, (j * v[1]) % self.d2)
+                for j in range(1, n)
+                if gcd(j, n) == 1
+            )
         found = dict(cyclic)
         if exhaustive:
             items = list(cyclic.items())

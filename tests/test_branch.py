@@ -1,8 +1,13 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from cubictrace import branch
 from cubictrace.algebra import PrecisionError, ZpCubicAlgebra, disc_cubic, vp
 from cubictrace.branch import (
     ALL_CLASSES,
@@ -283,6 +288,115 @@ def test_weierstrass_quadratic():
     assert sorted(t % p ** (k0 - 1) for t in disk) == want
     with pytest.raises(ValueError):
         weierstrass_quadratic(versal_context(0, 0, 2), 0, 0)
+
+
+def double_root_versal(rng, p, k):
+    """Split context whose class 0 has a double-root quadratic model, with a planted zero.
+
+    With eta = 1 + p*w, x = (w2-w3, w3-w1, w1-w2) has Tr(x) = Tr(x w) = 0,
+    y = lam*(-1, 1, 0) and z = (A, 0, 0); then F(t) = p^2 Q(t) mod p^3 with
+    Q = A + B t + delta binom(t, 2), and A is chosen so that Q has zero
+    discriminant.  A multiple of p^3 added to gamma's first coordinate makes
+    F vanish mod p^k at a random t0 on the double-root disk.
+    """
+    m = p**k
+    roots = [r + p * rng.randrange(p ** (k - 1)) for r in rng.sample(range(p), 3)]
+    A = ZpCubicAlgebra.from_split_roots(p, k, roots)
+    w = rng.sample(range(p), 3)
+    eta = [(1 + p * wi) % m for wi in w]
+    x = [w[1] - w[2], w[2] - w[0], w[0] - w[1]]
+    delta = sum(xi * wi * wi for xi, wi in zip(x, w)) % p
+    B = rng.randrange(p)
+    lam = B * pow(w[1] - w[0], -1, p) % p
+    half = pow(2, -1, p)
+    A0 = (B - delta * half) ** 2 * pow(2 * delta, -1, p) % p
+    gamma = [(x[0] - p * lam + p * p * A0) % m, (x[1] + p * lam) % m, x[2] % m]
+    rho = next(r for r in range(p) if (A0 + B * r + delta * half * r * (r - 1)) % p == 0)
+    t0 = rho + p * rng.randrange(p ** (k - 2))
+    value = sum(g * pow(e, t0, m) for g, e in zip(gamma, eta)) % m
+    assert value % p**3 == 0
+    gamma[0] = (gamma[0] - value * pow(eta[0], -t0, m)) % m
+    ctx = BranchContext(A, A.from_split_coords(eta), A.from_split_coords(gamma), c=0, k=k)
+    return ctx, t0
+
+
+def test_certified_equals_oracle_on_double_root_disks():
+    rng = random.Random(40)
+    for p, k in ((5, 7), (7, 6), (11, 5)):
+        for _ in range(3):
+            ctx, t0 = double_root_versal(rng, p, k)
+            res = certified_zero_set(ctx)
+            assert [d.kind for d in res.descriptors] == ["quadratic-weierstrass-disk"]
+            assert t0 % p ** (k - 1) in res.classes
+            assert res.classes == brute_force_zero_oracle(ctx)
+
+
+def test_double_root_disk_work_is_polynomial(monkeypatch):
+    # a p^(k-2)-point scan of the disk makes about 1.77 million evaluations here
+    ctx, t0 = double_root_versal(random.Random(41), 11, 8)
+    calls = 0
+    poly_eval = branch._poly_eval
+
+    def counting(f, x, m):
+        nonlocal calls
+        calls += 1
+        return poly_eval(f, x, m)
+
+    monkeypatch.setattr(branch, "_poly_eval", counting)
+    res = certified_zero_set(ctx)
+    assert res.descriptors[0].kind == "quadratic-weierstrass-disk"
+    assert t0 % 11**7 in res.classes
+    assert calls < 10**4
+
+
+def _disk_scan_reference(W, rho, p, s_shift, k0):
+    """Reference: test W at every point Y = pu, u < p^(k0-2), of the disk."""
+    q_out = p ** (k0 - s_shift)
+    mod_t = p ** (k0 - 1)
+    return sorted(
+        {
+            (rho + p * u) % mod_t
+            for u in range(p ** (k0 - 2))
+            if branch._poly_eval(W, p * u, q_out) == 0
+        }
+    )
+
+
+@st.composite
+def disk_factors(draw):
+    """(W, rho, p, s_shift, k0): monic W = Y^e mod p with coefficients mod p^N."""
+    p = draw(st.sampled_from([5, 7, 11]))
+    e = draw(st.sampled_from([2, 3]))
+    N = draw(st.integers(1, 5))
+    s_shift = draw(st.integers(2, 3))
+    k0 = N + s_shift
+    assume(p ** (k0 - 2) <= 20_000)
+    q = p**N
+    if draw(st.booleans()):
+        # product of linear factors Y - p*r: clustered and repeated roots
+        W = [1]
+        for _ in range(e):
+            r = draw(st.integers(0, p ** (N - 1)))
+            W = [(a - p * r * b) % q for a, b in zip([0] + W, W + [0])]
+    else:
+        W = [p * draw(st.integers(0, q)) % q for _ in range(e)] + [1]
+    return W, draw(st.integers(0, p - 1)), p, s_shift, k0
+
+
+@settings(max_examples=150, deadline=None)
+@given(disk_factors())
+def test_disk_solutions_equal_scan(case):
+    W, rho, p, s_shift, k0 = case
+    assert branch._disk_solutions(W, rho, p, s_shift, k0) == _disk_scan_reference(
+        W, rho, p, s_shift, k0
+    )
+
+
+def test_branch_has_no_bare_asserts():
+    # certifying invariants must survive python -O
+    tree = ast.parse(Path(branch.__file__).read_text())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []
 
 
 def build_cubic_degenerate(p, k, fint, c, a0, b1, b2):

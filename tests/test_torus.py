@@ -78,6 +78,38 @@ def test_subgroup_enumeration():
                     assert T.coord_add(a, b) in H.coords
 
 
+def _subgroups_spanning_every_element(T, exhaustive):
+    """Reference enumeration: span the cyclic subgroup of every element, O(order^2)."""
+    cyclic = {}
+    for v in T.all_coords():
+        cyclic.setdefault(T.span([v]), v)
+    found = {H: (v,) for H, v in cyclic.items()}
+    if exhaustive:
+        for H1, v1 in cyclic.items():
+            for H2, v2 in cyclic.items():
+                join = frozenset(T.coord_add(a, b) for a in H1 for b in H2)
+                found.setdefault(join, (v1, v2))
+    else:
+        # the projection kernels and T itself are listed without generators
+        coords = list(T.all_coords())
+        for H in (
+            frozenset(c for c in coords if c[0] == 0),
+            frozenset(c for c in coords if c[1] == 0),
+            frozenset(coords),
+        ):
+            found[H] = ()
+    return sorted((len(H), sorted(H), gens) for H, gens in found.items())
+
+
+def test_subgroups_match_spanning_every_element():
+    for p in (5, 7):
+        for name in ("split", "mixed", "inert"):
+            T = torus(p, name)
+            for exhaustive in (True, False):
+                got = [(H.order, sorted(H.coords), H.gens) for H in T.subgroups(exhaustive)]
+                assert got == _subgroups_spanning_every_element(T, exhaustive), (p, name)
+
+
 def test_annihilator_sizes():
     T = torus(7, "split")
     for H in T.subgroups():
