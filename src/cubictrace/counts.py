@@ -2,11 +2,16 @@
 
 Two independent routes are kept strictly separate:
 
-* ``brute_force_count`` enumerates all of B as coefficient triples and
-  filters units; it is the oracle and knows nothing about curves.
+* ``brute_force_count`` reads the (trace, norm) tally of B^x from
+  ``_kernels.trace_norm_histogram``, which enumerates the trace-0 and
+  trace-1 slices of B as coefficient triples and fills the rows s != 0 by
+  the scaling bijection x -> s*x; it is the oracle and knows nothing about
+  curves.
 * ``smooth_formula_count`` / ``nodal_count`` evaluate the closed formulas
   (elliptic point count with the splitting-type sign, and the nodal
-  q+3-f_B-|E_B| value).
+  q+3-f_B-|E_B| value).  The elliptic count sums the quadratic character
+  over every U for each fiber on its own, with no scaling reduction, so the
+  two routes share no step.
 
 A fiber (s, n) with n != 0 is smooth iff s^3 != 27n; nodal fibers force
 s != 0 and are counted by the nodal formula.
@@ -64,7 +69,7 @@ def unit_histogram(B):
 
 
 def brute_force_count(query, cap=DEFAULT_PRIME_CAP):
-    """N_B(s, n) by exhaustive enumeration of B (the oracle)."""
+    """N_B(s, n) by enumeration of B (the oracle; see trace_norm_histogram)."""
     B, p = query.B, query.B.p
     if p > cap:
         raise ValueError(f"prime {p} exceeds brute-force cap {cap}")
@@ -93,11 +98,13 @@ def elliptic_count(p, s, n):
     chi = quadratic_character(p)
     s %= p
     n %= p
+    s2 = s * s
+    lin = 18 * s * n
     const = (-4 * s**3 * n - 27 * n * n) % p
     total = p + 1
     for u in range(p):
-        rhs = (s * s * u * u - 4 * u**3 + 18 * s * u * n + const) % p
-        total += chi[rhs]
+        # the cubic in U by Horner: ((-4U + s^2)U + 18sn)U + const
+        total += chi[(((s2 - 4 * u) * u + lin) * u + const) % p]
     return total
 
 
@@ -178,9 +185,10 @@ def factorization_census(p, eps):
             counts["S"] += 1
         elif roots == 1:
             counts["L"] += 1
-        else:
-            assert roots == 0
+        elif roots == 0:
             counts["I"] += 1
+        else:
+            raise ArithmeticError(f"squarefree cubic with {roots} roots mod {p}")
     return counts["I"], counts["S"], counts["L"], counts["R"]
 
 

@@ -68,9 +68,11 @@ class TorusGroup:
                 m += 1
             if m == d2:
                 t = pow_g1[y]  # h^d2 = g1^t, and d2 | t
-                assert t % d2 == 0
+                if t % d2:
+                    raise ArithmeticError("h^d2 is not a d2-th power of g1")
                 g2 = B.mul(h, B.pow(B.inv(self.g1), t // d2))
-                assert B.pow(g2, d2) == B.one
+                if B.pow(g2, d2) != B.one:
+                    raise ArithmeticError("complement generator does not have order d2")
                 self.g2 = g2
                 return
         raise ArithmeticError("no complement generator found")
@@ -107,11 +109,14 @@ class TorusGroup:
             chi = _split_exceptional_character(self)
         else:
             # mixed and inert tori are cyclic: the order-3 dual subgroup is unique
-            assert self.d2 == 1 and self.d1 % 3 == 0
+            if self.d2 != 1 or self.d1 % 3:
+                raise ArithmeticError("cyclic torus without an order-3 character")
             chi = CharacterExponent(self, self.d1 // 3, 0)
-        assert chi.order == 3
+        if chi.order != 3:
+            raise ArithmeticError("exceptional character does not have order 3")
         kernel = frozenset(c for c in self.all_coords() if chi.value_exp(c) == 0)
-        assert 3 * len(kernel) == self.order
+        if 3 * len(kernel) != self.order:
+            raise ArithmeticError("exceptional kernel does not have index 3")
         return ExceptionalGroup(3, chi, kernel)
 
     def coords(self, h):
@@ -172,7 +177,13 @@ class TorusGroup:
                 if gcd(j, n) == 1
             )
         found = dict(cyclic)
-        if exhaustive:
+        if not exhaustive:
+            found[frozenset((i, j) for i, j in self.all_coords() if i == 0)] = None
+            found[frozenset((i, j) for i, j in self.all_coords() if j == 0)] = None
+            found[frozenset(self.all_coords())] = None
+        elif self.d2 > 1:
+            # a cyclic torus (d2 = 1) has only cyclic subgroups, so there
+            # every join of two of them is already in ``cyclic``
             items = list(cyclic.items())
             for H1, v1 in items:
                 for H2, v2 in items:
@@ -182,10 +193,6 @@ class TorusGroup:
                     found.setdefault(join, None)
                     if found[join] is None:
                         found[join] = (v1, v2)
-        else:
-            found[frozenset((i, j) for i, j in self.all_coords() if i == 0)] = None
-            found[frozenset((i, j) for i, j in self.all_coords() if j == 0)] = None
-            found[frozenset(self.all_coords())] = None
         subs = []
         for H, gens in found.items():
             if gens is None:
@@ -211,7 +218,8 @@ class TorusGroup:
     def annihilator(self, H):
         """H^perp: characters trivial on the subgroup H."""
         out = [chi for chi in self.characters() if all(chi.value_exp(c) == 0 for c in H.coords)]
-        assert len(out) == H.index
+        if len(out) != H.index:
+            raise ArithmeticError("annihilator order differs from the index")
         return out
 
 
@@ -317,11 +325,13 @@ def _split_exceptional_character(T):
 
     u1 = exp3(T.g1)
     u2 = exp3(T.g2)
-    assert T.d1 % 3 == 0 and T.d2 % 3 == 0
+    if T.d1 % 3 or T.d2 % 3:
+        raise ArithmeticError("split torus with |E_B| = 3 needs 3 | d2")
     chi = CharacterExponent(T, u1 * (T.d1 // 3), u2 * (T.d2 // 3))
     # the exponent-tuple form must reproduce rho(h2 h3^2) on all of T
     for c in T.all_coords():
-        assert chi.value_exp(c) == exp3(T.element(c)) * (T.d1 // 3) % T.d1
+        if chi.value_exp(c) != exp3(T.element(c)) * (T.d1 // 3) % T.d1:
+            raise ArithmeticError(f"exceptional character disagrees with rho at {c}")
     return chi
 
 
@@ -431,7 +441,8 @@ def nodal_base_point(T, gamma, s):
         raise ValueError("nodal data needs s != 0 and s^3 = 27 Norm(gamma)")
     a = s * pow(3, -1, p) % p
     hstar = B.mul((a, 0, 0), B.inv(gamma))
-    assert B.norm(hstar) == 1
+    if B.norm(hstar) != 1:
+        raise ArithmeticError("nodal base point is not in the torus")
     return hstar
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from conftest import canonical_algebras
 
 from cubictrace.counts import (
@@ -57,18 +59,33 @@ def test_elliptic_count_supersingular():
     assert elliptic_count(5, 0, 1) == 6
 
 
+def _projective_points(p, s, n):
+    """Oracle: the (U, V) pairs on the Weierstrass curve, plus infinity."""
+    pts = 1
+    for u in range(p):
+        rhs = (s * s * u * u - 4 * u**3 - 4 * s**3 * n - 27 * n * n + 18 * s * u * n) % p
+        for v in range(p):
+            if (v * v - rhs) % p == 0:
+                pts += 1
+    return pts
+
+
 def test_elliptic_count_vs_affine_enumeration():
-    # oracle: count (U, V) pairs on the Weierstrass curve plus infinity
     for p, s, n in [(7, 0, 1), (7, 1, 2), (11, 2, 3), (13, 0, 1)]:
         if not is_smooth_fiber(p, s, n):
             continue
-        pts = 1
-        for u in range(p):
-            rhs = (s * s * u * u - 4 * u**3 - 4 * s**3 * n - 27 * n * n + 18 * s * u * n) % p
-            for v in range(p):
-                if (v * v - rhs) % p == 0:
-                    pts += 1
-        assert elliptic_count(p, s, n) == pts
+        assert elliptic_count(p, s, n) == _projective_points(p, s, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((5, 7, 11, 13, 17, 19, 23, 29, 31)),
+    st.integers(-100, 100),
+    st.integers(-100, 100),
+)
+def test_elliptic_count_matches_enumeration_on_random_fibers(p, s, n):
+    assume(n % p and is_smooth_fiber(p, s, n))
+    assert elliptic_count(p, s, n) == _projective_points(p, s, n)
 
 
 def test_elliptic_count_refuses_nodal():

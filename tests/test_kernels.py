@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import pytest
 from conftest import canonical_algebras
 
 from cubictrace import _kernels
@@ -15,17 +16,26 @@ def random_cubic(rng, p):
 
 
 def test_histogram_kernel_matches_algebra_tally():
-    for p in (5, 11):
+    for p in (5, 7, 11, 13):
         for B in canonical_algebras(p).values():
-            tally = Counter(
-                (B.trace(x), B.norm(x)) for x in B.elements() if B.norm(x)
-            )
+            # the full p^3 enumeration is the reference
+            tally = Counter((B.trace(x), B.norm(x)) for x in B.elements() if B.norm(x))
             hist = _kernels.trace_norm_histogram(p, B.f)
-            assert len(hist) == p * p
+            assert hist == [tally[(s, n)] for s in range(p) for n in range(p)]
             assert sum(hist) == B.unit_group_order()
-            for s in range(p):
-                for n in range(p):
-                    assert hist[s * p + n] == tally[(s, n)]
+            # the norm-n units form a coset of the torus T_B, one per n != 0
+            for n in range(p):
+                column = sum(hist[s * p + n] for s in range(p))
+                assert column == (B.torus_order() if n else 0)
+            # negative and large coefficients are taken mod p
+            f0, f1, f2 = B.f
+            assert _kernels.trace_norm_histogram(p, (f0 - 2 * p, f1 + 3 * p, f2 - p)) == hist
+
+
+def test_histogram_kernel_needs_prime_at_least_5():
+    for p in (2, 3, 4, 9, 25):
+        with pytest.raises(ValueError, match="prime >= 5"):
+            _kernels.trace_norm_histogram(p, (1, 0, 0))
 
 
 def test_sweep_kernel_matches_algebra():

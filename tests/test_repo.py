@@ -1,12 +1,16 @@
 """Repository hygiene checks."""
 
+import ast
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cubictrace"
 
 
 def _git(*args):
@@ -21,3 +25,31 @@ def test_no_tracked_file_is_gitignored():
     out = _git("ls-files", "-ci", "--exclude-standard")
     assert out.returncode == 0, out.stderr
     assert out.stdout == "", f"tracked files that .gitignore excludes:\n{out.stdout}"
+
+
+def test_certifying_modules_have_no_bare_asserts():
+    # certifying invariants must survive python -O
+    found = []
+    for name in ("branch.py", "counts.py", "torus.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_does_not_import_numpy():
+    # numpy would double the peak RSS of a run (about 14 MB to 27 MB), so
+    # the package and every submodule must import without it
+    code = (
+        "import importlib, pkgutil, sys, cubictrace\n"
+        "names = [m.name for m in pkgutil.iter_modules(cubictrace.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('cubictrace.' + name)\n"
+        "print(len(names), 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, check=False
+    )
+    assert out.returncode == 0, out.stderr
+    submodules = [f for f in PACKAGE.glob("*.py") if f.name != "__init__.py"]
+    assert out.stdout.split() == [str(len(submodules)), "False"]

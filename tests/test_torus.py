@@ -110,6 +110,22 @@ def test_subgroups_match_spanning_every_element():
                 assert got == _subgroups_spanning_every_element(T, exhaustive), (p, name)
 
 
+def test_cyclic_tori_list_every_subgroup_without_joins():
+    # mixed and inert tori are cyclic (d2 = 1); the joins of pairs of cyclic
+    # subgroups that the reference still forms add nothing there
+    for p in (5, 7, 11, 17):
+        for name in ("mixed", "inert"):
+            T = torus(p, name)
+            assert T.d2 == 1 and T.order <= 400
+            got = [(H.order, sorted(H.coords), H.gens) for H in T.subgroups()]
+            assert got == [
+                (H.order, sorted(H.coords), H.gens) for H in T.subgroups(exhaustive=True)
+            ]
+            assert got == _subgroups_spanning_every_element(T, True), (p, name)
+            # one subgroup per divisor of the order
+            assert len(got) == sum(1 for d in range(1, T.order + 1) if T.order % d == 0)
+
+
 def test_annihilator_sizes():
     T = torus(7, "split")
     for H in T.subgroups():
