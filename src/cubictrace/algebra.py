@@ -23,6 +23,7 @@ elements as d-tuples with coordinatewise operations.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 SPLIT = "split"
 MIXED = "mixed"
@@ -189,10 +190,6 @@ class ZpCubicAlgebra:
     def reduce(self, x):
         m = self.modulus
         return (x[0] % m, x[1] % m, x[2] % m)
-
-    def reduce_mod(self, x, j):
-        q = self.p**j
-        return (x[0] % q, x[1] % q, x[2] % q)
 
     def add(self, x, y):
         m = self.modulus
@@ -589,7 +586,7 @@ def _element_order_modp(alg, x, exponent):
     order = 1
     for c in red:
         oc = _scalar_order(c, p, exponent)
-        order = order * oc // _gcd(order, oc)
+        order = order * oc // gcd(order, oc)
     return order
 
 
@@ -599,12 +596,6 @@ def _scalar_order(c, p, exponent):
         while order % q == 0 and pow(c, order // q, p) == 1:
             order //= q
     return order
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _hensel_lift_root(f, r, p, k):

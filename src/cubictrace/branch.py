@@ -553,7 +553,7 @@ def _classify_and_expand(ctx, a, k0):
     if s_shift >= p - 1:
         # binomial jets beyond degree p-1 are not determined by t mod p:
         # fall back to the exact digit recursion for this class
-        res = _digit_recursion_reduced(ctx, a, k0)
+        res = digit_recursion(ctx, a, k0)
         return BranchDescriptor(DIGIT_LIST, a, {"shift": s_shift}, residues=tuple(res))
 
     mono = _binom_to_monomial(jet, p)
@@ -653,12 +653,6 @@ def _disk_solutions(W, rho, p, s_shift, k0):
     step = p**N
     return sorted(
         (rho + p * u + step * v) % mod_t for u in roots for v in range(p ** (k0 - 1 - N))
-    )
-
-
-def _digit_recursion_reduced(ctx, a, k0):
-    return _digit_recursion_generic(
-        lambda t, prec: ctx.f_eval(a, t, prec), ctx.p, k0
     )
 
 

@@ -35,7 +35,8 @@ def singular_line_membership(B, omega, s, x):
         return None
     z0, _, z2 = B.trace_dual_basis(omega)
     rebuilt = B.add(B.scalar_mul(s, z0), B.scalar_mul(u, z2))
-    assert rebuilt == B.reduce(x)
+    if rebuilt != B.reduce(x):
+        raise ArithmeticError("s z0 + u z2 does not rebuild x")
     return u
 
 

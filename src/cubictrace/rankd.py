@@ -9,7 +9,7 @@ that the generic engine reproduces the predicted shifts, jets, and zeros.
 from dataclasses import dataclass
 
 from .algebra import RankDSplitAlgebra, _invmod
-from .branch import BranchContext, _class_jet, digit_recursion
+from .branch import BranchContext, _class_jet
 
 
 @dataclass
@@ -64,9 +64,8 @@ def rankd_classify(ctx, a, affine=None):
         bound, kind = r - 1, "subalgebra"
     s_shift, jet = _class_jet(ctx, a, ctx.k0)
     e = None if jet is None else len(jet) - 1
-    if jet is not None:
-        assert s_shift <= bound, (s_shift, bound)
-        assert e <= bound
+    if jet is not None and (s_shift > bound or e > bound):
+        raise ArithmeticError(f"{kind} bound {bound} exceeded: shift {s_shift}, degree {e}")
     return RankDBranchRecord(a, s_shift, jet, e, bound, kind)
 
 
@@ -95,7 +94,8 @@ def sharpness_construction(p, d, Omega, precision=None):
                 den = den * (Om[i] - Om[j]) % m
         gamma.append(_invmod(den, m))  # p^(d-1)/prod(q_i-q_j) = 1/prod(Om_i-Om_j)
     gamma = tuple(gamma)
-    assert A.is_unit(gamma)
+    if not A.is_unit(gamma):
+        raise ArithmeticError("sharpness coefficient gamma is not a unit")
     values = tuple(A.trace(A.mul(gamma, A.pow(eta, r))) for r in range(d))
     expected = p ** (d - 1) % m
     passed = all(v == 0 for v in values[: d - 1]) and values[d - 1] == expected
@@ -166,8 +166,3 @@ def affine_sharpness(p, d, precision=None):
     # at precision d everything survives; the d zeros separate at d+1
     ctx = BranchContext(A, eta, z0, c=1, k=d + 1)
     return ctx, AffineSharpnessReport(z0, zeros, values[d], expected, passed)
-
-
-def zero_count_via_recursion(ctx, a, k=None):
-    """#R_a(k) from the digit recursion (used against the Weierstrass bounds)."""
-    return len(digit_recursion(ctx, a, k))

@@ -153,9 +153,9 @@ def jet_family_statistics(B, omega, x, c, U_lift=None, y0_lift=None):
         raise ValueError("y0 must lift x")
     p2, p3 = p * p, p**3
     T0 = (A.trace(y0) - c) % p3
-    assert T0 % p == 0
     B0 = A.trace(A.mul(y0, U)) % p3
-    assert B0 % p == 0
+    if T0 % p or B0 % p:
+        raise ArithmeticError("Tr(y0) - c and Tr(y0 U) must vanish mod p")
     # alpha contributes Tr(alpha) mod p^2 (to survival and A_y) and
     # Tr(alpha*omega) mod p (to B_y); beta only Tr(beta) mod p.
     tally = {}

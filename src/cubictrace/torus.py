@@ -3,6 +3,8 @@
 The group is enumerated exhaustively, an invariant-factor decomposition
 Z_d1 x Z_d2 (d2 | d1) is computed with generators and a discrete-log table,
 and subgroup/coset/character machinery operates in exponent coordinates.
+Every subgroup is listed, at every order, from the Hermite basis of its
+lattice between d1 Z x d2 Z and Z^2 (see TorusGroup.subgroups).
 
 All pass/fail verdicts here are exact integer tests: the square-root bounds are
 verified by squaring, and characters are exponent tuples.  Floats appear
@@ -17,8 +19,6 @@ from math import gcd
 
 from . import counts as counts_mod
 from .algebra import SPLIT, _element_order, factorize
-
-EXHAUSTIVE_SUBGROUP_CAP = 400
 
 
 def exceptional_size(B):
@@ -153,58 +153,34 @@ class TorusGroup:
         o2 = self.d2 // gcd(self.d2, v[1])
         return o1 * o2 // gcd(o1, o2)
 
-    def subgroups(self, exhaustive=None):
-        """All subgroups (exhaustive up to order 400), else cyclic + projection kernels.
+    def subgroups(self):
+        """Every subgroup of Z_d1 x Z_d2, each listed once, from its Hermite basis.
+
+        A subgroup is a lattice between d1 Z x d2 Z and Z^2, with the unique
+        Hermite basis (a, b), (0, e): a | d1, e | d2, 0 <= b < e and
+        e | b * (d1 / a), the last so that (d1, 0) lies in the lattice.
+        There are sum_{a | d1, e | d2} gcd(a, e) of them (Hampejs, Holighaus,
+        Toth, Wiesmeyr, J. Numbers 2014).
 
         Returns a list of Subgroup records sorted by (order, sorted elements).
         """
-        if exhaustive is None:
-            exhaustive = self.order <= EXHAUSTIVE_SUBGROUP_CAP
-        # each cyclic subgroup is labelled by its first generator in
-        # all_coords() order; its other generators j*v, gcd(j, |H|) = 1,
-        # span the same H and are skipped
-        cyclic = {}
-        covered = set()
-        for v in self.all_coords():
-            if v in covered:
-                continue
-            H = self.span([v])
-            cyclic[H] = v
-            n = len(H)
-            covered.update(
-                ((j * v[0]) % self.d1, (j * v[1]) % self.d2)
-                for j in range(1, n)
-                if gcd(j, n) == 1
-            )
-        found = dict(cyclic)
-        if not exhaustive:
-            found[frozenset((i, j) for i, j in self.all_coords() if i == 0)] = None
-            found[frozenset((i, j) for i, j in self.all_coords() if j == 0)] = None
-            found[frozenset(self.all_coords())] = None
-        elif self.d2 > 1:
-            # a cyclic torus (d2 = 1) has only cyclic subgroups, so there
-            # every join of two of them is already in ``cyclic``
-            items = list(cyclic.items())
-            for H1, v1 in items:
-                for H2, v2 in items:
-                    join = frozenset(
-                        self.coord_add(a, b) for a in H1 for b in H2
-                    )
-                    found.setdefault(join, None)
-                    if found[join] is None:
-                        found[join] = (v1, v2)
+        d1, d2 = self.d1, self.d2
         subs = []
-        for H, gens in found.items():
-            if gens is None:
-                gens = ()
-            elif not isinstance(gens, tuple) or (gens and not isinstance(gens[0], tuple)):
-                gens = (gens,)
-            subs.append(Subgroup(self, H, gens))
+        for a in _divisors(d1):
+            for e in _divisors(d2):
+                for b in range(e):
+                    if b * (d1 // a) % e == 0:
+                        coords = frozenset(
+                            (x * a, (x * b + y * e) % d2)
+                            for x in range(d1 // a)
+                            for y in range(d2 // e)
+                        )
+                        subs.append(Subgroup(self, coords))
         subs.sort(key=lambda s: (s.order, sorted(s.coords)))
         return subs
 
     def subgroup_from_coords(self, coords):
-        return Subgroup(self, frozenset(coords), ())
+        return Subgroup(self, frozenset(coords))
 
     # -- characters ------------------------------------------------------------
 
@@ -226,10 +202,9 @@ class TorusGroup:
 class Subgroup:
     """A subgroup given by its coordinate set; iterable coset machinery."""
 
-    def __init__(self, torus, coords, gens=()):
+    def __init__(self, torus, coords):
         self.torus = torus
         self.coords = coords
-        self.gens = gens
         self.order = len(coords)
         if torus.order % self.order:
             raise ValueError("not a subgroup: order does not divide")
@@ -250,9 +225,6 @@ class Subgroup:
 
     def coset_coords(self, rep):
         return [self.torus.coord_add(rep, h) for h in self.coords]
-
-    def coset_elements(self, rep):
-        return [self.torus.element(c) for c in self.coset_coords(rep)]
 
     def intersect_coords(self, other_coords):
         return self.coords & other_coords
@@ -333,6 +305,10 @@ def _split_exceptional_character(T):
         if chi.value_exp(c) != exp3(T.element(c)) * (T.d1 // 3) % T.d1:
             raise ArithmeticError(f"exceptional character disagrees with rho at {c}")
     return chi
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _primitive_root(p):

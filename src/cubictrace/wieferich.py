@@ -78,7 +78,8 @@ def wieferich_test(spec, p):
     P = A.period(eta)
     etaP = A.pow(eta, P)
     diff = A.sub(etaP, A.one)
-    assert all(c % p == 0 for c in diff)
+    if any(c % p for c in diff):
+        raise ArithmeticError("eta^P is not 1 mod p")
     omega = tuple((c // p) % p for c in diff)
     omega_scalar = omega[1] == 0 and omega[2] == 0
     omega_zero = omega == (0, 0, 0)
@@ -112,7 +113,8 @@ def higher_tangent(spec, p, max_r=DEFAULT_MAX_R):
     omega_r = tuple((c // p**r) % p for c in diff)
     nonscalar = not (omega_r[1] == 0 and omega_r[2] == 0)
     # norm identity used in the restart proof: Norm(eta^P) = 1 mod p^(r+1)
-    assert A.norm(etaP) % p ** (r + 1) == 1 % p ** (r + 1)
+    if A.norm(etaP) % p ** (r + 1) != 1 % p ** (r + 1):
+        raise ArithmeticError(f"Norm(eta^P) is not 1 mod p^{r + 1}")
     return r, omega_r, nonscalar
 
 

@@ -158,3 +158,22 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_coset_command_checks_every_subgroup_above_order_400(capsys):
+    # split p = 23: Z_22 x Z_22 of order 484 has 70 subgroups and 2794 cosets
+    # of them; the non-cyclic subgroups are among them
+    code, out = run_cli(
+        capsys, "--json", "coset", "--p", "23", "--type", "split", "--gamma", "1,0,0", "--s", "1",
+    )
+    doc = json.loads(out)
+    assert code == 0
+    assert len(doc["records"]) == 2794
+    assert all(r["pass"] for r in doc["records"])
+    assert {r["subgroup_order"] for r in doc["records"]} == {d for d in range(1, 485) if 484 % d == 0}
+
+
+def test_coset_rejects_exhaustive_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["coset", "--p", "7", "--type", "split", "--gamma", "1,0,0", "--s", "1", "--exhaustive"])
+    assert exc.value.code == 2

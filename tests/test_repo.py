@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -30,10 +31,38 @@ def test_no_tracked_file_is_gitignored():
 def test_certifying_modules_have_no_bare_asserts():
     # certifying invariants must survive python -O
     found = []
-    for name in ("branch.py", "counts.py", "torus.py"):
-        tree = ast.parse((PACKAGE / name).read_text())
-        found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _top_level_names(tree):
+    """Module-level functions, classes, methods and constants defined in tree."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            yield from ((m.name, m.lineno) for m in methods if isinstance(m, ast.FunctionDef))
+        elif isinstance(node, ast.Assign):
+            yield from ((t.id, node.lineno) for t in node.targets if isinstance(t, ast.Name))
+
+
+def test_every_top_level_name_is_referenced():
+    # a name that occurs only at its own definition is dead code
+    corpus = "\n".join(
+        path.read_text()
+        for top in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    )
+    unreferenced = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, lineno in _top_level_names(ast.parse(path.read_text())):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if len(re.findall(rf"\b{re.escape(name)}\b", corpus)) == 1:
+                unreferenced.append(f"{path.name}:{lineno} {name}")
+    assert unreferenced == []
 
 
 def test_package_does_not_import_numpy():

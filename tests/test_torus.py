@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 from conftest import canonical_algebras
 
@@ -78,50 +79,30 @@ def test_subgroup_enumeration():
                     assert T.coord_add(a, b) in H.coords
 
 
-def _subgroups_spanning_every_element(T, exhaustive):
-    """Reference enumeration: span the cyclic subgroup of every element, O(order^2)."""
-    cyclic = {}
-    for v in T.all_coords():
-        cyclic.setdefault(T.span([v]), v)
-    found = {H: (v,) for H, v in cyclic.items()}
-    if exhaustive:
-        for H1, v1 in cyclic.items():
-            for H2, v2 in cyclic.items():
-                join = frozenset(T.coord_add(a, b) for a in H1 for b in H2)
-                found.setdefault(join, (v1, v2))
-    else:
-        # the projection kernels and T itself are listed without generators
-        coords = list(T.all_coords())
-        for H in (
-            frozenset(c for c in coords if c[0] == 0),
-            frozenset(c for c in coords if c[1] == 0),
-            frozenset(coords),
-        ):
-            found[H] = ()
-    return sorted((len(H), sorted(H), gens) for H, gens in found.items())
+def _subgroups_spanning_every_element(T):
+    """Reference enumeration: every join of two cyclic spans, O(order^2)."""
+    cyclic = {T.span([v]) for v in T.all_coords()}
+    found = {frozenset(T.coord_add(a, b) for a in H1 for b in H2) for H1 in cyclic for H2 in cyclic}
+    return sorted((len(H), sorted(H)) for H in found)
 
 
 def test_subgroups_match_spanning_every_element():
-    for p in (5, 7):
+    for p in (5, 7, 11, 13):
         for name in ("split", "mixed", "inert"):
             T = torus(p, name)
-            for exhaustive in (True, False):
-                got = [(H.order, sorted(H.coords), H.gens) for H in T.subgroups(exhaustive)]
-                assert got == _subgroups_spanning_every_element(T, exhaustive), (p, name)
+            got = [(H.order, sorted(H.coords)) for H in T.subgroups()]
+            assert got == _subgroups_spanning_every_element(T), (p, name)
 
 
 def test_cyclic_tori_list_every_subgroup_without_joins():
-    # mixed and inert tori are cyclic (d2 = 1); the joins of pairs of cyclic
-    # subgroups that the reference still forms add nothing there
+    # mixed and inert tori are cyclic (d2 = 1), so every subgroup is the
+    # span of one element and the joins the reference forms add nothing
     for p in (5, 7, 11, 17):
         for name in ("mixed", "inert"):
             T = torus(p, name)
-            assert T.d2 == 1 and T.order <= 400
-            got = [(H.order, sorted(H.coords), H.gens) for H in T.subgroups()]
-            assert got == [
-                (H.order, sorted(H.coords), H.gens) for H in T.subgroups(exhaustive=True)
-            ]
-            assert got == _subgroups_spanning_every_element(T, True), (p, name)
+            assert T.d2 == 1
+            got = [(H.order, sorted(H.coords)) for H in T.subgroups()]
+            assert got == _subgroups_spanning_every_element(T), (p, name)
             # one subgroup per divisor of the order
             assert len(got) == sum(1 for d in range(1, T.order + 1) if T.order % d == 0)
 
@@ -132,19 +113,22 @@ def test_annihilator_sizes():
         assert len(T.annihilator(H)) == H.index
 
 
-def test_subgroup_enumeration_degrades_above_cap():
-    # above the exhaustive cap only cyclic subgroups + projection kernels
-    from cubictrace.algebra import canonical_algebra
-
-    B = canonical_algebra(23, "split")  # torus order 484 > 400
-    T = TorusGroup(B)
-    subs = T.subgroups()
-    assert any(H.order == 1 for H in subs) and any(H.order == T.order for H in subs)
-    for H in subs:
-        assert T.order % H.order == 0
-    # the invariant-factor projection kernels are present
-    orders = {H.order for H in subs}
-    assert T.d2 in orders and T.d1 in orders
+def test_subgroup_enumeration_is_complete_at_every_order():
+    # Z_m x Z_n has sum_{a | m, b | n} gcd(a, b) subgroups; at split p = 23
+    # (order 484) and 29 (order 784) every one is listed, each once
+    for p, want in ((23, 70), (29, 150)):
+        T = torus(p, "split")
+        assert T.d1 == T.d2 == p - 1
+        divisors = [d for d in range(1, p) if (p - 1) % d == 0]
+        assert sum(gcd(a, b) for a in divisors for b in divisors) == want
+        subs = T.subgroups()
+        assert len(subs) == want
+        assert len({H.coords for H in subs}) == want
+        for H in subs:
+            assert T.order % H.order == 0
+            assert all(T.coord_add(a, b) in H.coords for a in H.coords for b in H.coords)
+        if p == 23:
+            assert [(H.order, sorted(H.coords)) for H in subs] == _subgroups_spanning_every_element(T)
 
 
 def test_coset_trace_count_full_group_is_count():
