@@ -4,13 +4,19 @@
   cubic algebra F_p[T]/(f).  It enumerates only the trace-0 and trace-1
   slices (p^2 elements each) and fills every row s != 0 from row 1 by the
   scaling bijection x -> s*x, which maps the fiber (1, n) onto (s, s^3 n).
+  It inlines the arithmetic of ``algebra.ZpCubicAlgebra`` at k = 1; the
+  tests compare it against a tally of the algebra's own trace and norm over
+  all p^3 elements.
 * ``zero_class_sweep`` -- one pass over the branch classes n = 0..total-1,
-  collecting the n with Tr(gamma * eta^n) = c (mod p^k).
-
-Both inline the arithmetic of ``algebra.ZpCubicAlgebra``; the tests compare
-them against the algebra's own trace, norm and multiplication, the histogram
-against a tally over all p^3 elements.
+  collecting the n with u_n = Tr(gamma * eta^n) = c (mod p^k).  It knows no
+  algebra: it runs the linear recurrence that the characteristic polynomial
+  of eta imposes on u_n (Cayley-Hamilton), from the first d traces, for an
+  algebra of any rank d.  The tests compare it against the algebra's own
+  trace, multiplication and powers.
 """
+
+from collections import deque
+from operator import mul
 
 from .algebra import is_prime
 
@@ -61,33 +67,40 @@ def trace_norm_histogram(p, f):
     return hist
 
 
-def zero_class_sweep(p, k, total, eta, gamma, f, c):
-    """Collect n in [0, total) with Tr(gamma * eta^n) = c (mod p^k).
+def zero_class_sweep(p, k, total, traces, charpoly, c):
+    """Collect n in [0, total) with u_n = c (mod p^k).
 
-    ``eta``, ``gamma`` are coefficient triples and ``f`` the cubic's
-    (f0, f1, f2); all are taken mod p^k.
+    ``traces`` holds the starting terms u_0, ..., u_{d-1} of
+    u_n = Tr(gamma * eta^n), and ``charpoly`` the coefficients
+    (c_0, ..., c_{d-1}) of the characteristic polynomial
+    X^d + c_{d-1} X^{d-1} + ... + c_0 of eta.  Cayley-Hamilton gives
+    u_{n+d} = -(c_{d-1} u_{n+d-1} + ... + c_0 u_n), so a step costs d
+    multiplications and one reduction.  Every n is visited; all inputs are
+    taken mod p^k.
     """
+    d = len(traces)
+    if d == 0 or len(charpoly) != d:
+        raise ValueError(
+            f"need d >= 1 starting traces and d coefficients, got {d} and {len(charpoly)}"
+        )
     m = p**k
-    f0, f1, f2 = (x % m for x in f)
-    e0, e1, e2 = (x % m for x in eta)
-    g0, g1, g2 = (x % m for x in gamma)
-    c = c % m
-    tr1 = (-f2) % m
-    tr2 = (f2 * f2 - 2 * f1) % m
-    r40 = (f2 * f0) % m
-    r41 = (f2 * f1 - f0) % m
-    r42 = (f2 * f2 - f1) % m
+    c %= m
+    neg = [(-x) % m for x in charpoly]
     hits = []
     append = hits.append
+    if d == 3:
+        # every cubic algebra: the window unrolled into three locals
+        u0, u1, u2 = (x % m for x in traces)
+        b0, b1, b2 = neg
+        for n in range(total):
+            if u0 == c:
+                append(n)
+            u0, u1, u2 = u1, u2, (b0 * u0 + b1 * u1 + b2 * u2) % m
+        return hits
+    window = deque((x % m for x in traces), maxlen=d)
+    push = window.append
     for n in range(total):
-        if (3 * g0 + tr1 * g1 + tr2 * g2) % m == c:
+        if window[0] == c:
             append(n)
-        h0 = g0 * e0
-        h1 = g0 * e1 + g1 * e0
-        h2 = g0 * e2 + g1 * e1 + g2 * e0
-        h3 = g1 * e2 + g2 * e1
-        h4 = g2 * e2
-        g0 = (h0 - h3 * f0 + h4 * r40) % m
-        g1 = (h1 - h3 * f1 + h4 * r41) % m
-        g2 = (h2 - h3 * f2 + h4 * r42) % m
+        push(sum(map(mul, neg, window)) % m)
     return hits

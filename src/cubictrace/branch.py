@@ -21,7 +21,12 @@ Every descriptor carries the explicit set of surviving branch parameters
 t mod p^(k0-1), so the expansion of the output can be compared verbatim
 with the brute-force congruence sweep ``brute_force_zero_oracle``.  That
 oracle equality is the master correctness property; the descriptors are
-additionally tagged with which normal form produced them.
+additionally tagged with which normal form produced them.  The oracle
+visits every n: it runs the linear recurrence that the characteristic
+polynomial of eta imposes on Tr(gamma * eta^n) (Cayley-Hamilton), from the
+first d traces, for an algebra of any rank d.  It shares nothing with the
+cascade -- no log tangent, no primitive reduction, no Hensel lifting -- so
+the comparison checks two independent routes.
 
 Branch coordinates: n = a + P*t with a in {0..P-1} fixed once; residue
 classes at precision p^k live in Z/(P*p^(k-1)).
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _kernels
-from .algebra import PrecisionError, ZpCubicAlgebra, _invmod, vp, vp_fraction
+from .algebra import PrecisionError, _invmod, vp, vp_fraction
 
 DEFAULT_ENUM_CAP = 10**6
 
@@ -727,27 +732,23 @@ def certified_zero_set(ctx):
 
 
 def brute_force_zero_oracle(ctx, cap=None):
-    """All n mod P*p^(k_work-1) with Tr(gamma eta^n) = c mod p^k_work, by sweep."""
+    """All n mod P*p^(k_work-1) with Tr(gamma eta^n) = c mod p^k_work, by sweep.
+
+    The sweep visits every n, running the trace recurrence of eta's
+    characteristic polynomial from the first d traces; the same code serves
+    every algebra, of any rank.
+    """
     p, k = ctx.p, ctx.k_work
     total = ctx.P * p ** (k - 1)
     if total > (cap if cap is not None else ctx.enum_cap):
         raise ValueError(f"sweep size {total} exceeds enumeration cap")
-    if isinstance(ctx.A, ZpCubicAlgebra):
-        return _kernels.zero_class_sweep(
-            p, k, total, ctx.eta_int, ctx.gamma_int, ctx.A.f_int, ctx.c_int
-        )
-    # generic (rank-d) pure sweep
     A = ctx.A
-    m = p**k
-    g = A.reduce(ctx.gamma_int)
-    eta = A.reduce(ctx.eta_int)
-    c = ctx.c_int % m
-    hits = []
-    for n in range(total):
-        if (A.trace(g) - c) % m == 0:
-            hits.append(n)
-        g = A.mul(g, eta)
-    return hits
+    traces = []
+    y = ctx.gamma_elt
+    for _ in range(A.rank):
+        traces.append(A.trace(y))
+        y = A.mul(y, ctx.eta_elt)
+    return _kernels.zero_class_sweep(p, k, total, traces, A.charpoly(ctx.eta_elt), ctx.c_int)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,10 @@ from .counts import CountQuery
 from .rankd import affine_sharpness, jet_versality, sharpness_construction
 from .torus import (
     TorusGroup,
+    all_coset_bounds,
     exceptional_size,
     nodal_coset_check,
     nodal_concentration_check,
-    verify_coset_bound,
 )
 from .wieferich import CubicOrderSpec, scan
 
@@ -178,22 +178,18 @@ def cmd_coset(args):
     if den:
         raise UsageError("coset gamma must be integral")
     gamma = B.reduce(gamma)
-    T = TorusGroup(B)
-    records = []
-    for H in T.subgroups():
-        for g in H.coset_reps():
-            r = verify_coset_bound(T, H, g, gamma, args.s)
-            records.append(
-                {
-                    "subgroup_order": H.order,
-                    "index": H.index,
-                    "coset": list(g),
-                    "count": r.count,
-                    "main_term": r.main_term,
-                    "error": r.error,
-                    "pass": r.passed,
-                }
-            )
+    records = [
+        {
+            "subgroup_order": H.order,
+            "index": H.index,
+            "coset": list(g),
+            "count": r.count,
+            "main_term": r.main_term,
+            "error": r.error,
+            "pass": r.passed,
+        }
+        for H, g, r in all_coset_bounds(TorusGroup(B), gamma, args.s)
+    ]
     ok = all(r["pass"] for r in records)
     payload = {"p": args.p, "type": args.type, "s": args.s, "records": records, "all_pass": ok}
     emit(args, payload, [f"{len(records)} coset checks, all_pass={ok}"])

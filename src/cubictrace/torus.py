@@ -213,15 +213,32 @@ class Subgroup:
     def __contains__(self, coord):
         return coord in self.coords
 
-    def coset_reps(self):
-        seen = set()
+    @cached_property
+    def _cosets(self):
+        """(reps, labels): the least coord of each coset, and the coset index of
+        every coord (i, j), kept flat at labels[i * d2 + j]."""
+        d1, d2 = self.torus.d1, self.torus.d2
+        labels = [-1] * (d1 * d2)
         reps = []
         for c in sorted(self.torus.all_coords()):
-            if c in seen:
-                continue
-            reps.append(c)
-            seen.update(self.torus.coord_add(c, h) for h in self.coords)
-        return reps
+            i, j = c
+            if labels[i * d2 + j] < 0:
+                for a, b in self.coords:
+                    labels[(i + a) % d1 * d2 + (j + b) % d2] = len(reps)
+                reps.append(c)
+        return tuple(reps), labels
+
+    def coset_reps(self):
+        return list(self._cosets[0])
+
+    def coset_counts(self, coords):
+        """How many of ``coords`` fall in each coset, in coset_reps() order."""
+        d2 = self.torus.d2
+        labels = self._cosets[1]
+        counts = [0] * self.index
+        for i, j in coords:
+            counts[labels[i * d2 + j]] += 1
+        return counts
 
     def coset_coords(self, rep):
         return [self.torus.coord_add(rep, h) for h in self.coords]
@@ -322,14 +339,19 @@ def _primitive_root(p):
 # -- trace-fiber counting over cosets -----------------------------------------
 
 
-def trace_fiber_indicator(T, gamma, s):
-    """v[coord] = 1 if Tr(gamma * h) = s."""
+def trace_fibers(T, gamma):
+    """fibers[s] = coords of the h in T with Tr(gamma h) = s, for every s in F_p.
+
+    One pass over T per gamma; ``Subgroup.coset_counts`` then splits a fiber
+    over the cosets of any subgroup.
+    """
     B = T.B
-    s %= B.p
-    return {
-        c: 1 if B.trace(B.mul(gamma, T.element(c))) == s else 0
-        for c in T.all_coords()
-    }
+    if not B.is_unit(gamma):
+        raise ValueError("coefficient gamma must be a unit")
+    fibers = [[] for _ in range(B.p)]
+    for h, c in T.coord_of.items():
+        fibers[B.trace(B.mul(gamma, h))].append(c)
+    return fibers
 
 
 def coset_trace_count(T, H, g, gamma, s):
@@ -357,29 +379,54 @@ class CosetBoundReport:
     passed: bool
 
 
-def verify_coset_bound(T, H, g, gamma, s, n_b=None):
-    """Exact check of (m N_gH - N_B)^2 <= 9 (m-1)^2 q on a smooth fiber."""
-    B = T.B
-    q = B.p
+def _smooth_norm(B, gamma, s):
+    """Norm(gamma), after checking that the fiber (s, Norm gamma) is smooth."""
     n = B.norm(gamma)
-    if (s**3 - 27 * n) % q == 0:
+    if (s**3 - 27 * n) % B.p == 0:
         raise ValueError("nodal fiber: use nodal_coset_check")
-    if n_b is None:
-        n_b = counts_mod.actual_count(B, s, n)
-    cnt = coset_trace_count(T, H, g, gamma, s)
-    m = H.index
-    lhs = (m * cnt - n_b) ** 2
+    return n
+
+
+def coset_bound_report(count, n_b, m, q):
+    """The smooth coset bound (m count - N_B)^2 <= 9 (m-1)^2 q, checked exactly."""
+    lhs = (m * count - n_b) ** 2
     rhs = 9 * (m - 1) ** 2 * q
     return CosetBoundReport(
-        count=cnt,
+        count=count,
         n_b=n_b,
         m=m,
         main_term=Fraction(n_b, m),
-        error=Fraction(m * cnt - n_b, m),
+        error=Fraction(m * count - n_b, m),
         lhs=lhs,
         rhs=rhs,
         passed=lhs <= rhs,
     )
+
+
+def verify_coset_bound(T, H, g, gamma, s, n_b=None):
+    """Exact check of (m N_gH - N_B)^2 <= 9 (m-1)^2 q on a smooth fiber, for one coset."""
+    B = T.B
+    n = _smooth_norm(B, gamma, s)
+    if n_b is None:
+        n_b = counts_mod.actual_count(B, s, n)
+    cnt = coset_trace_count(T, H, g, gamma, s)
+    return coset_bound_report(cnt, n_b, H.index, B.p)
+
+
+def all_coset_bounds(T, gamma, s):
+    """verify_coset_bound for every coset of every subgroup, from one trace pass.
+
+    Returns (H, rep, report) triples in subgroups() and coset_reps() order.
+    """
+    B = T.B
+    q = B.p
+    n_b = counts_mod.actual_count(B, s, _smooth_norm(B, gamma, s))
+    fiber = trace_fibers(T, gamma)[s % q]
+    return [
+        (H, g, coset_bound_report(cnt, n_b, H.index, q))
+        for H in T.subgroups()
+        for g, cnt in zip(H.coset_reps(), H.coset_counts(fiber))
+    ]
 
 
 @dataclass
@@ -437,7 +484,7 @@ def nodal_concentration_check(T, gamma, s):
     exc = exceptional_group(T)
     hstar = nodal_base_point(T, gamma, s)
     cstar = T.coords(hstar)
-    fiber = [c for c, v in trace_fiber_indicator(T, gamma, s).items() if v]
+    fiber = trace_fibers(T, gamma)[s % B.p]
     shifted = [T.coord_add(c, T.coord_neg(cstar)) for c in fiber]
     concentrated = all(c in exc.kernel_coords for c in shifted)
     if exc.generator is not None:

@@ -6,9 +6,13 @@ inside the matrix are exact integer/rational comparisons.  Run with
 or equivalently ``cubictrace verify-all``.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from cubictrace import verify
+from cubictrace.cli import jsonable
 
 CAPS = {"branch_contexts": 500, "rankd_contexts": 200, "enum": 200_000}
 
@@ -35,3 +39,22 @@ def test_report_is_deterministic():
     a = verify.run_all(only=["2-factorization-census"], seed=1)
     b = verify.run_all(only=["2-factorization-census"], seed=1)
     assert a.records == b.records
+
+
+# sha256 of the verdict records of criteria 3, 5 and 8, serialised as
+# ``cubictrace --json --seed 1 verify-all --pset 5,7 --branch-contexts 20
+# --rankd-contexts 20`` prints them.  A change that alters any of these
+# records, even in a tested= count, changes the digest.
+VERDICT_DIGEST = "2058c05b358182ebd4b26beec9eb22a041221d0025388b972eb66d2c83df678c"
+
+
+def test_verdict_records_are_byte_identical():
+    res = verify.run_all(
+        pset=(5, 7),
+        seed=1,
+        caps={"branch_contexts": 20, "rankd_contexts": 20},
+        only=["3-coset-bound", "5-branch-oracle", "8-rankd"],
+    )
+    blob = json.dumps(jsonable(res.records), sort_keys=True, separators=(",", ":"))
+    assert len(res.records) == 34
+    assert hashlib.sha256(blob.encode()).hexdigest() == VERDICT_DIGEST

@@ -74,17 +74,43 @@ def test_charpoly():
 
 
 def test_charpoly_annihilates():
+    # Cayley-Hamilton; the oracle's trace recurrence is only as right as this
     rng = random.Random(1)
-    for alg in canonical_algebras(7).values():
+    for k in (1, 3):
+        for B in canonical_algebras(7).values():
+            alg = B.at_precision(k)
+            m = alg.modulus
+            for _ in range(20):
+                x = tuple(rng.randrange(m) for _ in range(3))
+                c0, c1, c2 = alg.charpoly(x)
+                x2 = alg.mul(x, x)
+                val = alg.add(
+                    alg.add(alg.mul(x2, x), alg.scalar_mul(c2, x2)),
+                    alg.add(alg.scalar_mul(c1, x), (c0, 0, 0)),
+                )
+                assert val == (0, 0, 0)
+                assert c0 == (-alg.norm(x)) % m and c2 == (-alg.trace(x)) % m
+                # negative and unreduced coordinates give the same polynomial
+                unreduced = tuple(v + rng.choice((-2, -1, 3)) * m for v in x)
+                assert alg.charpoly(unreduced) == (c0, c1, c2)
+    for d in (2, 3, 4):
+        A = RankDSplitAlgebra(7, 3, d)
+        m = A.modulus
         for _ in range(20):
-            x = tuple(rng.randrange(7) for _ in range(3))
-            c0, c1, c2 = alg.charpoly(x)
-            x2 = alg.mul(x, x)
-            val = alg.add(
-                alg.add(alg.mul(x2, x), alg.scalar_mul(c2, x2)),
-                alg.add(alg.scalar_mul(c1, x), (c0, 0, 0)),
-            )
-            assert val == (0, 0, 0)
+            x = tuple(rng.randrange(m) for _ in range(d))
+            coeffs = A.charpoly(x)
+            assert len(coeffs) == d
+            assert coeffs[0] == (-1) ** d * A.norm(x) % m
+            assert coeffs[-1] == (-A.trace(x)) % m
+            # x^d + c_{d-1} x^{d-1} + ... + c_0 = 0
+            val = A.pow(x, d)
+            xi = A.one
+            for ci in coeffs:
+                val = A.add(val, A.scalar_mul(ci, xi))
+                xi = A.mul(xi, x)
+            assert val == (0,) * d
+            unreduced = tuple(v + rng.choice((-2, -1, 3)) * m for v in x)
+            assert A.charpoly(unreduced) == coeffs
 
 
 def test_is_generator_by_type():

@@ -5,7 +5,7 @@ import pytest
 from conftest import canonical_algebras
 
 from cubictrace import _kernels
-from cubictrace.algebra import ZpCubicAlgebra, disc_cubic
+from cubictrace.algebra import RankDSplitAlgebra, ZpCubicAlgebra, disc_cubic
 
 
 def random_cubic(rng, p):
@@ -13,6 +13,12 @@ def random_cubic(rng, p):
         f = tuple(rng.randrange(p) for _ in range(3))
         if disc_cubic(f[2], f[1], f[0]) % p:
             return f
+
+
+def sweep_inputs(A, eta, gamma):
+    """The first d traces Tr(gamma eta^i) and the characteristic polynomial of eta."""
+    traces = [A.trace(A.mul(gamma, A.pow(eta, i))) for i in range(A.rank)]
+    return traces, A.charpoly(eta)
 
 
 def test_histogram_kernel_matches_algebra_tally():
@@ -58,7 +64,7 @@ def test_sweep_kernel_matches_algebra():
                 n for n in range(total) if A.trace(A.mul(gamma, A.pow(eta, n))) == c
             ]
             assert want
-            assert _kernels.zero_class_sweep(p, k, total, eta, gamma, f, c) == want
+            assert _kernels.zero_class_sweep(p, k, total, *sweep_inputs(A, eta, gamma), c) == want
             checked += 1
 
 
@@ -70,9 +76,47 @@ def test_sweep_exact_above_int64():
     eta = (1, 1, 0)
     assert A.is_unit(eta)
     gamma = (1, 2, 3)
-    got = _kernels.zero_class_sweep(p, k, 50, eta, gamma, f, A.trace(gamma))
+    got = _kernels.zero_class_sweep(p, k, 50, *sweep_inputs(A, eta, gamma), A.trace(gamma))
     assert 0 in got  # n = 0 satisfies Tr(gamma) = c by construction
     # values are genuine congruence solutions
     m = p**k
     for n in got:
         assert (A.trace(A.mul(gamma, A.pow(eta, n))) - A.trace(gamma)) % m == 0
+
+
+def unreduce(rng, xs, m):
+    return [x + rng.choice((-3, -1, 2)) * m for x in xs]
+
+
+def test_sweep_kernel_matches_rank_d_algebra():
+    rng = random.Random(1)
+    for d in (2, 3, 4):
+        for k in (1, 2, 3, 4):
+            p = rng.choice((5, 7))
+            A = RankDSplitAlgebra(p, k, d)
+            m = A.modulus
+            etas = [tuple(rng.randrange(1, m) for _ in range(d)) for _ in range(3)]
+            # repeated coordinates: eta's characteristic polynomial has a multiple root
+            etas.append((etas[0][0],) * (d - 1) + (etas[0][-1],))
+            for eta in etas:
+                if not A.is_unit(eta):
+                    continue
+                gamma = tuple(rng.randrange(m) for _ in range(d))
+                traces, coeffs = sweep_inputs(A, eta, gamma)
+                # the reference: the algebra's own trace, product and powers
+                seq = [A.trace(A.mul(gamma, A.pow(eta, n))) for n in range(120)]
+                for c in {seq[0], seq[d - 1], seq[rng.randrange(120)], rng.randrange(m)}:
+                    for total in (0, 1, 2, d, 120):
+                        want = [n for n in range(total) if seq[n] == c]
+                        assert _kernels.zero_class_sweep(p, k, total, traces, coeffs, c) == want
+                    # negative and unreduced inputs are taken mod p^k
+                    got = _kernels.zero_class_sweep(
+                        p, k, 120, unreduce(rng, traces, m), unreduce(rng, coeffs, m), c - 5 * m
+                    )
+                    assert got == [n for n in range(120) if seq[n] == c]
+
+
+def test_sweep_kernel_needs_one_coefficient_per_trace():
+    for traces, coeffs in [((), ()), ((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2))]:
+        with pytest.raises(ValueError, match="starting traces"):
+            _kernels.zero_class_sweep(5, 2, 10, traces, coeffs, 0)

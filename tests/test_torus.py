@@ -3,16 +3,19 @@ from math import gcd
 
 from conftest import canonical_algebras
 
-from cubictrace.counts import CountQuery, brute_force_count
+from cubictrace.counts import CountQuery, actual_count, brute_force_count
 from cubictrace.torus import (
     TorusGroup,
+    all_coset_bounds,
     character_decomposition_diagnostic,
+    coset_bound_report,
     coset_trace_count,
     exceptional_group,
     exceptional_size,
     nodal_concentration_check,
     nodal_coset_check,
     nonemptiness_check,
+    trace_fibers,
     verify_coset_bound,
 )
 
@@ -169,6 +172,56 @@ def test_coset_bound_exhaustive_split7():
                     continue
                 for g in reps:
                     assert verify_coset_bound(T, H, g, gamma, s).passed
+
+
+def test_coset_tally_matches_enumeration():
+    # the one-pass tally (trace fibers split by cached coset labels) against
+    # the per-coset enumeration, for every subgroup, coset and smooth s
+    rng = random.Random(5)
+    for p in (5, 7):
+        for name in ("split", "mixed", "inert"):
+            T = torus(p, name)
+            B = T.B
+            units = [x for x in B.elements() if B.is_unit(x)]
+            for gamma in [B.one] + [rng.choice(units) for _ in range(2)]:
+                fibers = trace_fibers(T, gamma)
+                assert sorted(c for fiber in fibers for c in fiber) == sorted(T.all_coords())
+                n = B.norm(gamma)
+                for s in range(p):
+                    if (s**3 - 27 * n) % p == 0:
+                        continue
+                    n_b = actual_count(B, s, n)
+                    for H in T.subgroups():
+                        reps = H.coset_reps()
+                        counts = H.coset_counts(fibers[s])
+                        assert len(reps) == len(counts) == H.index
+                        for g, cnt in zip(reps, counts):
+                            assert cnt == coset_trace_count(T, H, g, gamma, s)
+                            assert coset_bound_report(cnt, n_b, H.index, p) == verify_coset_bound(
+                                T, H, g, gamma, s, n_b=n_b
+                            )
+            # the CLI's all-coset pass, report for report
+            gamma, s = units[0], 1
+            want = [
+                (H.order, g, verify_coset_bound(T, H, g, gamma, s))
+                for H in T.subgroups()
+                for g in H.coset_reps()
+            ]
+            assert [(H.order, g, r) for H, g, r in all_coset_bounds(T, gamma, s)] == want
+
+
+def test_coset_labels_partition_the_torus():
+    for p in (5, 7):
+        for name in ("split", "mixed", "inert"):
+            T = torus(p, name)
+            for H in T.subgroups():
+                reps = H.coset_reps()
+                assert H.coset_counts(T.all_coords()) == [H.order] * H.index
+                assert reps == sorted(reps) and reps[0] == (0, 0)
+                # each rep is the least coord of its coset, and a fresh list is returned
+                assert all(g == min(H.coset_coords(g)) for g in reps)
+                reps.append(None)
+                assert len(H.coset_reps()) == H.index
 
 
 def test_coset_bound_singleton_cosets_inert5():
