@@ -208,13 +208,14 @@ def cmd_nodal(args):
     n = B.norm(gamma)
     svals = [s for s in range(1, p) if (s**3 - 27 * n) % p == 0]
     T = TorusGroup(B)
+    subs = T.subgroups()
     results = []
     ok = True
     for s in svals:
         conc = nodal_concentration_check(T, gamma, s)
         sub_ok = all(
             nodal_coset_check(T, H, g, gamma, s).passed
-            for H in T.subgroups()
+            for H in subs
             for g in H.coset_reps()
         )
         ok = ok and conc.concentrated and conc.pointwise_character_match and sub_ok

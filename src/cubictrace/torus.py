@@ -6,6 +6,13 @@ and subgroup/coset/character machinery operates in exponent coordinates.
 Every subgroup is listed, at every order, from the Hermite basis of its
 lattice between d1 Z x d2 Z and Z^2 (see TorusGroup.subgroups).
 
+Coset counts come from one trace pass per (torus, gamma): the torus keeps
+the trace fibers of the last gamma it was asked for (trace_fibers), and a
+coset's count is read from a fiber by the coset labels each Subgroup caches.
+The nodal check needs no scan of H either: whether gH meets h_* K_B^exc,
+|H cap K_B^exc| and |H^perp cap E_B| follow from whether H lies in the
+exceptional kernel (see nodal_coset_check).
+
 All pass/fail verdicts here are exact integer tests: the square-root bounds are
 verified by squaring, and characters are exponent tuples.  Floats appear
 only in the explicitly-labelled character-sum diagnostic.
@@ -36,6 +43,7 @@ class TorusGroup:
         if len(self.elements) != order:
             raise ArithmeticError("torus enumeration does not match the closed order")
         self.order = order
+        self._gamma_slot = (None, 0, ())  # see _gamma_fibers
         self._compute_structure()
         self._install_dlogs()
 
@@ -133,6 +141,24 @@ class TorusGroup:
 
     def all_coords(self):
         return self.coord_of.values()
+
+    def _gamma_fibers(self, gamma):
+        """(Norm gamma, trace_fibers(self, gamma)), from a one-entry cache.
+
+        The entry is keyed by the reduced gamma and holds only the last gamma, so
+        memory stays O(|T|); every caller loops over gamma outermost, so one entry
+        catches all the reuse.  A miss checks that gamma is a unit.
+        """
+        B = self.B
+        key = B.reduce(gamma)
+        if self._gamma_slot[0] != key:
+            if not B.is_unit(key):
+                raise ValueError("coefficient gamma must be a unit")
+            fibers = [[] for _ in range(B.p)]
+            for h, c in self.coord_of.items():
+                fibers[B.trace(B.mul(key, h))].append(c)
+            self._gamma_slot = (key, B.norm(key), tuple(map(tuple, fibers)))
+        return self._gamma_slot[1:]
 
     # -- subgroups -----------------------------------------------------------
 
@@ -240,11 +266,20 @@ class Subgroup:
             counts[labels[i * d2 + j]] += 1
         return counts
 
+    def coset_count(self, coords, g):
+        """How many of ``coords`` fall in the coset gH; g may be any coord of it."""
+        d1, d2 = self.torus.d1, self.torus.d2
+        labels = self._cosets[1]
+        label = labels[g[0] % d1 * d2 + g[1] % d2]
+        return sum(1 for i, j in coords if labels[i * d2 + j] == label)
+
     def coset_coords(self, rep):
         return [self.torus.coord_add(rep, h) for h in self.coords]
 
-    def intersect_coords(self, other_coords):
-        return self.coords & other_coords
+    @cached_property
+    def in_exceptional_kernel(self):
+        """H <= K_B^exc; always true when |E_B| = 1, where K_B^exc = T."""
+        return self.coords <= self.torus.exceptional.kernel_coords
 
 
 class CharacterExponent:
@@ -343,15 +378,11 @@ def trace_fibers(T, gamma):
     """fibers[s] = coords of the h in T with Tr(gamma h) = s, for every s in F_p.
 
     One pass over T per gamma; ``Subgroup.coset_counts`` then splits a fiber
-    over the cosets of any subgroup.
+    over the cosets of any subgroup, and ``Subgroup.coset_count`` reads one
+    coset's share.  The result is shared: T keeps it, as tuples, for the last
+    gamma it was asked for (see TorusGroup._gamma_fibers).
     """
-    B = T.B
-    if not B.is_unit(gamma):
-        raise ValueError("coefficient gamma must be a unit")
-    fibers = [[] for _ in range(B.p)]
-    for h, c in T.coord_of.items():
-        fibers[B.trace(B.mul(gamma, h))].append(c)
-    return fibers
+    return T._gamma_fibers(gamma)[1]
 
 
 def coset_trace_count(T, H, g, gamma, s):
@@ -379,10 +410,9 @@ class CosetBoundReport:
     passed: bool
 
 
-def _smooth_norm(B, gamma, s):
-    """Norm(gamma), after checking that the fiber (s, Norm gamma) is smooth."""
-    n = B.norm(gamma)
-    if (s**3 - 27 * n) % B.p == 0:
+def _smooth_norm(p, s, n):
+    """n, after checking that the fiber (s, n) is smooth."""
+    if (s**3 - 27 * n) % p == 0:
         raise ValueError("nodal fiber: use nodal_coset_check")
     return n
 
@@ -404,13 +434,18 @@ def coset_bound_report(count, n_b, m, q):
 
 
 def verify_coset_bound(T, H, g, gamma, s, n_b=None):
-    """Exact check of (m N_gH - N_B)^2 <= 9 (m-1)^2 q on a smooth fiber, for one coset."""
+    """Exact check of (m N_gH - N_B)^2 <= 9 (m-1)^2 q on a smooth fiber, for one coset.
+
+    The count N_gH is read from the cached trace fibers of gamma (see
+    trace_fibers) by coset label, in O(N_B); coset_trace_count is the
+    enumeration of gH it equals.
+    """
     B = T.B
-    n = _smooth_norm(B, gamma, s)
+    n, fibers = T._gamma_fibers(gamma)
+    n = _smooth_norm(B.p, s, n)
     if n_b is None:
         n_b = counts_mod.actual_count(B, s, n)
-    cnt = coset_trace_count(T, H, g, gamma, s)
-    return coset_bound_report(cnt, n_b, H.index, B.p)
+    return coset_bound_report(H.coset_count(fibers[s % B.p], g), n_b, H.index, B.p)
 
 
 def all_coset_bounds(T, gamma, s):
@@ -420,7 +455,7 @@ def all_coset_bounds(T, gamma, s):
     """
     B = T.B
     q = B.p
-    n_b = counts_mod.actual_count(B, s, _smooth_norm(B, gamma, s))
+    n_b = counts_mod.actual_count(B, s, _smooth_norm(q, s, B.norm(gamma)))
     fiber = trace_fibers(T, gamma)[s % q]
     return [
         (H, g, coset_bound_report(cnt, n_b, H.index, q))
@@ -447,10 +482,7 @@ def nonemptiness_check(T, H, gamma, s):
     holds = n_b > 0 and n_b * n_b > 9 * (m - 1) ** 2 * q
     if not holds:
         return NonemptinessReport(False, None)
-    verified = all(
-        coset_trace_count(T, H, g, gamma, s) > 0 for g in H.coset_reps()
-    )
-    return NonemptinessReport(True, verified)
+    return NonemptinessReport(True, all(H.coset_counts(trace_fibers(T, gamma)[s % q])))
 
 
 # -- nodal machinery -----------------------------------------------------------
@@ -518,30 +550,28 @@ def nodal_coset_check(T, H, g, gamma, s):
 
     main = N^nod * |H cap K|/|K| when gH meets h_* K, else 0;
     |remainder| <= ((m - |H^perp cap E_B|)/m) (3 sqrt(q) + 3), checked by squaring.
+
+    The count is read from the cached trace fibers (see verify_coset_bound);
+    the rest takes O(1), from whether H <= K = K_B^exc (u = |H^perp cap E_B|):
+    if |E_B| = 1, K = T: every coset meets h_* K, |H cap K| = |H|, u = 1;
+    if H is not in K = ker chi0, chi0(H) = Z/3: every coset meets h_* K,
+    |H cap K| = |H|/3, and neither chi0 nor chi0^2 is trivial on H, so u = 1;
+    in both cases main = N^nod/m.  If H <= K, gH meets h_* K iff
+    chi0(g) = chi0(h_*), |H cap K| = |H| and u = 3, so main = 3 N^nod/m or 0.
     """
     B = T.B
     q = B.p
-    exc = exceptional_group(T)
-    hstar = nodal_base_point(T, gamma, s)
-    cstar = T.coords(hstar)
-    n_nod = counts_mod.actual_count(B, s, B.norm(gamma))
+    cstar = T.coords(nodal_base_point(T, gamma, s))
+    n, fibers = T._gamma_fibers(gamma)
+    n_nod = counts_mod.actual_count(B, s, n)
     m = H.index
-    cnt = coset_trace_count(T, H, g, gamma, s)
-    neg_star = T.coord_neg(cstar)
-    meets = any(
-        T.coord_add(T.coord_add(g, h), neg_star) in exc.kernel_coords
-        for h in H.coords
-    )
-    if meets:
-        main = Fraction(n_nod * len(H.intersect_coords(exc.kernel_coords)), len(exc.kernel_coords))
+    cnt = H.coset_count(fibers[s % q], g)
+    chi = exceptional_group(T).generator
+    if chi is None or not H.in_exceptional_kernel:
+        main, u = Fraction(n_nod, m), 1
     else:
-        main = Fraction(0)
-    # |H^perp cap E_B|: exceptional characters trivial on H
-    if exc.generator is None:
-        u = 1
-    else:
-        chis = [exc.generator, CharacterExponent(T, 2 * exc.generator.e1, 2 * exc.generator.e2)]
-        u = 1 + sum(1 for chi in chis if all(chi.value_exp(c) == 0 for c in H.coords))
+        meets = chi.value_exp(g) == chi.value_exp(cstar)
+        main, u = Fraction(3 * n_nod if meets else 0, m), 3
     rem = cnt - main
     # m |rem| <= 3 (m-u) (sqrt(q) + 1)
     lhs = m * abs(rem.numerator)

@@ -58,3 +58,15 @@ def test_verdict_records_are_byte_identical():
     blob = json.dumps(jsonable(res.records), sort_keys=True, separators=(",", ":"))
     assert len(res.records) == 34
     assert hashlib.sha256(blob.encode()).hexdigest() == VERDICT_DIGEST
+
+
+# sha256 of criterion 4's verdict records, serialised as
+# ``cubictrace --json --seed 1 verify-all --pset 5,7`` prints them.
+NODAL_DIGEST = "bb0ae81f207c9acb9c911355776426cf418df5054383782613f2acf0dbacc849"
+
+
+def test_nodal_records_are_byte_identical():
+    res = verify.run_all(pset=(5, 7), seed=1, only=["4-nodal-coset"])
+    blob = json.dumps(jsonable(res.records), sort_keys=True, separators=(",", ":"))
+    assert len(res.records) == 15
+    assert hashlib.sha256(blob.encode()).hexdigest() == NODAL_DIGEST

@@ -1,10 +1,14 @@
 import random
+from fractions import Fraction
 from math import gcd
 
+import pytest
 from conftest import canonical_algebras
 
 from cubictrace.counts import CountQuery, actual_count, brute_force_count
 from cubictrace.torus import (
+    CharacterExponent,
+    NodalCosetReport,
     TorusGroup,
     all_coset_bounds,
     character_decomposition_diagnostic,
@@ -12,6 +16,7 @@ from cubictrace.torus import (
     coset_trace_count,
     exceptional_group,
     exceptional_size,
+    nodal_base_point,
     nodal_concentration_check,
     nodal_coset_check,
     nonemptiness_check,
@@ -304,8 +309,6 @@ def test_nodal_concentration_all_types():
 def test_split7_nodal_all_or_nothing():
     # Example: ker(chi0) cosets carry (N^nod, 0, 0) with N^nod = 4, the
     # nonzero count sitting on the coset of h_* = (s/3) gamma^{-1}
-    from cubictrace.torus import nodal_base_point
-
     T = torus(7, "split")
     exc = exceptional_group(T)
     K = T.subgroup_from_coords(exc.kernel_coords)
@@ -338,6 +341,131 @@ def test_nodal_coset_main_terms_sum():
     for H in T.subgroups():
         total = sum(coset_trace_count(T, H, g, gamma, s) for g in H.coset_reps())
         assert total == 4
+
+
+def _nodal_coset_reference(T, H, g, gamma, s):
+    """nodal_coset_check by per-coset scans: gH meets h_* K by a scan of H,
+    |H cap K| by set intersection, and u by testing chi0 and chi0^2 on H."""
+    B = T.B
+    q = B.p
+    exc = exceptional_group(T)
+    kernel = exc.kernel_coords
+    neg_star = T.coord_neg(T.coords(nodal_base_point(T, gamma, s)))
+    n_nod = actual_count(B, s, B.norm(gamma))
+    m = H.index
+    cnt = coset_trace_count(T, H, g, gamma, s)
+    if any(T.coord_add(T.coord_add(g, h), neg_star) in kernel for h in H.coords):
+        main = Fraction(n_nod * len(H.coords & kernel), len(kernel))
+    else:
+        main = Fraction(0)
+    u = 1
+    if exc.generator is not None:
+        chi = exc.generator
+        for c in (chi, CharacterExponent(T, 2 * chi.e1, 2 * chi.e2)):
+            u += all(c.value_exp(h) == 0 for h in H.coords)
+    rem = cnt - main
+    base = 3 * (m - u) * rem.denominator
+    a = m * abs(rem.numerator) - base
+    return NodalCosetReport(
+        count=cnt,
+        main_term=main,
+        remainder=rem,
+        m=m,
+        exceptional_in_annihilator=u,
+        passed=a <= 0 or a * a <= base * base * q,
+    )
+
+
+def _smooth_reference(T, H, g, gamma, s):
+    B = T.B
+    n_b = actual_count(B, s, B.norm(gamma))
+    return coset_bound_report(coset_trace_count(T, H, g, gamma, s), n_b, H.index, B.p)
+
+
+def _coset_members(H):
+    """(g, rep) for every coset: g is the rep, then the coset's largest coord,
+    which is not the rep when |H| > 1."""
+    for g in H.coset_reps():
+        yield g, g
+        yield max(H.coset_coords(g)), g
+
+
+def test_coset_checks_match_per_coset_scans():
+    # the fiber lookups of verify_coset_bound and nodal_coset_check against
+    # the per-coset enumeration, for every subgroup and coset, with g given
+    # as the coset's rep and as another member of it
+    rng = random.Random(6)
+    for p in (5, 7, 11):
+        for name in ("split", "mixed", "inert"):
+            T = torus(p, name)
+            B = T.B
+            units = [x for x in B.elements() if B.is_unit(x)]
+            gamma = rng.choice(units)
+            n = B.norm(gamma)
+            smooth = rng.sample([s for s in range(p) if (s**3 - 27 * n) % p], 3)
+            nodal = nodal_configurations(T, rng, count=2)
+            cosets = [(H, g, rep) for H in T.subgroups() for g, rep in _coset_members(H)]
+            for s in smooth:
+                for H, g, rep in cosets:
+                    got = verify_coset_bound(T, H, g, gamma, s)
+                    assert vars(got) == vars(_smooth_reference(T, H, rep, gamma, s))
+            for nodal_gamma, s in nodal:
+                for H, g, rep in cosets:
+                    got = nodal_coset_check(T, H, g, nodal_gamma, s)
+                    want = _nodal_coset_reference(T, H, rep, nodal_gamma, s)
+                    assert vars(got) == vars(want), (p, name, H.order, g, s)
+
+
+def test_trace_fiber_cache_follows_gamma():
+    # T keeps the fibers of the last gamma only: every switch of gamma,
+    # including back to an earlier one, must recompute them.  Each gamma is
+    # a new tuple, dropped after its call, so a cache keyed on the object
+    # would see its id reused by the next gamma.
+    T = torus(5, "mixed")
+    B = T.B
+    p = B.p
+    units = [x for x in B.elements() if B.is_unit(x)]
+    g1 = next(x for x in units if B.norm(x) == 1 and x != B.one)
+    g2 = next(x for x in units if B.norm(x) == 2)
+    subs = T.subgroups()
+
+    def fibers_by_enumeration(gamma):
+        fibers = [[] for _ in range(p)]
+        for h, c in T.coord_of.items():
+            fibers[B.trace(B.mul(gamma, h))].append(c)
+        return tuple(map(tuple, fibers))
+
+    def fresh(gamma):
+        return tuple(list(gamma))
+
+    for gamma in (g1, g2, g1, tuple(c + p for c in g2), tuple(c - 3 * p for c in g1)):
+        assert trace_fibers(T, fresh(gamma)) == fibers_by_enumeration(gamma)
+        n = B.norm(gamma)
+        for H in subs:
+            for g, rep in _coset_members(H):
+                for s in (0, 3, 4):  # nodal: 3 for Norm 1, 4 for Norm 2
+                    if (s**3 - 27 * n) % p:
+                        got = verify_coset_bound(T, H, g, fresh(gamma), s)
+                        assert vars(got) == vars(_smooth_reference(T, H, rep, gamma, s))
+                    else:
+                        got = nodal_coset_check(T, H, g, fresh(gamma), s)
+                        assert vars(got) == vars(_nodal_coset_reference(T, H, rep, gamma, s))
+    full = T.subgroup_from_coords(T.all_coords())
+    # a non-unit gamma is rejected even while a unit gamma is cached
+    zero_divisor = next(x for x in B.elements() if any(x) and not B.is_unit(x))
+    verify_coset_bound(T, full, (0, 0), g1, 0)
+    with pytest.raises(ValueError):
+        trace_fibers(T, zero_divisor)
+    for s in (1, 2):
+        with pytest.raises(ValueError):
+            verify_coset_bound(T, full, (0, 0), zero_divisor, s)
+    # a nodal (gamma, s) is rejected whatever gamma is cached: s = 3 is nodal
+    # for Norm 1 but not for Norm 2, and s = 4 the other way round
+    for cached, gamma, s in ((g1, g1, 3), (g2, g1, 3), (g1, g2, 4), (g2, g2, 4)):
+        assert (s**3 - 27 * B.norm(gamma)) % p == 0
+        verify_coset_bound(T, full, (0, 0), cached, 0)
+        with pytest.raises(ValueError):
+            verify_coset_bound(T, full, (0, 0), gamma, s)
 
 
 def test_character_decomposition_diagnostic():
