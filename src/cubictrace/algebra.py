@@ -156,6 +156,7 @@ class ZpCubicAlgebra:
 
         Split coordinates follow the caller's order of the roots.
         """
+        PrimeModulus(p, k)  # name a bad p before judging the roots mod p
         r1, r2, r3 = (int(r) for r in roots)
         if len({r1 % p, r2 % p, r3 % p}) != 3:
             raise ValueError("split roots must have pairwise distinct reductions")

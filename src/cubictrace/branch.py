@@ -149,16 +149,14 @@ class BranchContext:
     derived quantities (P, U, omega, the reduced pair) are exposed.
     """
 
-    def __init__(self, A, eta, gamma, c=0, k=2, gamma_den=0, enum_cap=DEFAULT_ENUM_CAP):
+    def __init__(self, A, eta, gamma, c=0, k=2, gamma_den=0):
         self.p = A.p
         self.k = k
         if k < 1:
             raise ValueError("precision k must be >= 1")
-        gamma_int, c_int, e, e_aff = denominator_clear(self.p, gamma, gamma_den, c)
-        self.e, self.e_aff = e, e_aff
+        gamma_int, c_int, _, e_aff = denominator_clear(self.p, gamma, gamma_den, c)
         self.gamma_int, self.c_int = gamma_int, c_int
         self.k_work = k + e_aff
-        self.enum_cap = enum_cap
         K = max(self.k_work, 2)
         self.A = A.at_precision(K)
         self.K = K
@@ -170,7 +168,6 @@ class BranchContext:
         self.P = self.A.period(self.eta_elt)
         self.etaP = self.A.pow(self.eta_elt, self.P)
         self.U, self.omega = self.A.log_tangent(self.eta_elt, self.P)
-        self.s = c_int % self.p
         self.reduction = primitive_reduce(self.p, gamma_int, c_int, self.k_work)
         if self.reduction.tag == REDUCED:
             self.gamma0_elt = self.A.reduce(self.reduction.gamma0)
@@ -186,54 +183,48 @@ class BranchContext:
 
     # -- basic evaluations --------------------------------------------------
 
-    def class_point(self, a, reduced=True):
-        """y_a = gamma * eta^a at work precision (reduced gamma0 by default).
+    def class_point(self, a):
+        """y_a = gamma0 * eta^a at work precision, gamma0 the primitive reduced gamma.
 
-        Memoised per (a, reduced): f_eval, and so every digit-recursion and
-        Hensel step, asks for the same few class points again and again.
+        Memoised per a: f_eval, and so every digit-recursion and Hensel
+        step, asks for the same few class points again and again.
         """
-        key = (a, reduced)
-        y = self._class_points.get(key)
+        y = self._class_points.get(a)
         if y is None:
-            base = self.gamma0_elt if reduced else self.gamma_elt
-            if base is None:
+            if self.gamma0_elt is None:
                 raise ValueError("context reduced away: no primitive problem")
-            y = self._class_points[key] = self.A.mul(base, self.A.pow(self.eta_elt, a))
+            y = self._class_points[a] = self.A.mul(self.gamma0_elt, self.A.pow(self.eta_elt, a))
         return y
 
-    def f_eval(self, a, t, prec, reduced=True):
-        """F_{a,c}(t) mod p^prec (reduced problem by default)."""
+    def f_eval(self, a, t, prec):
+        """F_{a,c}(t) = Tr(y_a eta^(P t)) - c0 mod p^prec, of the primitive reduced problem."""
         if prec > self.K:
             raise PrecisionError(f"need precision {prec}, context has {self.K}")
-        y = self.class_point(a, reduced)
-        c = self.c0 if reduced else self.c_int
-        val = self.A.trace(self.A.mul(y, self.A.pow(self.etaP, t))) - c
+        val = self.A.trace(self.A.mul(self.class_point(a), self.A.pow(self.etaP, t))) - self.c0
         return val % self.p**prec
 
-    def class_coefficients(self, a, mmax, reduced=True):
-        """C'_m = Tr(y_a U^m) - (c if m == 0) for m < mmax."""
+    def class_coefficients(self, a, mmax):
+        """C'_m = Tr(y_a U^m) - (c0 if m == 0) for m < mmax."""
         A = self.A
-        y = self.class_point(a, reduced)
-        c = self.c0 if reduced else self.c_int
+        y = self.class_point(a)
         out = []
         upow = A.one
         for m in range(mmax):
             val = A.trace(A.mul(y, upow))
             if m == 0:
-                val -= c
+                val -= self.c0
             out.append(val)
             if m + 1 < mmax:
                 upow = A.mul(upow, self.U)
         return out
 
-    def mod_p_classes(self, reduced=True):
-        """Z_{p,c}(1): classes a mod P with Tr(x_a) = c mod p."""
+    def mod_p_classes(self):
+        """Z_{p,c}(1): classes a mod P with Tr(x_a) = c0 mod p."""
         A = self.A
         p = self.p
-        base = self.gamma0_elt if reduced else self.gamma_elt
-        c = (self.c0 if reduced else self.c_int) % p
+        c = self.c0 % p
         out = []
-        y = base
+        y = self.gamma0_elt
         for a in range(self.P):
             if (A.trace(y) - c) % p == 0:
                 out.append(a)
@@ -676,13 +667,11 @@ def _digit_recursion_generic(f_eval, p, k):
     return sorted(level)
 
 
-def digit_recursion(ctx, a, k=None, reduced=True):
-    """The digit-by-digit recursion R_a(k) on the context's branch function."""
+def digit_recursion(ctx, a, k=None):
+    """R_a(k) of the primitive reduced branch function, k = k0 by default."""
     if k is None:
-        k = ctx.k0 if reduced else ctx.k_work
-    return _digit_recursion_generic(
-        lambda t, prec: ctx.f_eval(a, t, prec, reduced=reduced), ctx.p, k
-    )
+        k = ctx.k0
+    return _digit_recursion_generic(lambda t, prec: ctx.f_eval(a, t, prec), ctx.p, k)
 
 
 # ---------------------------------------------------------------------------
@@ -731,16 +720,18 @@ def certified_zero_set(ctx):
     return ZeroSetResult(descriptors, sorted(classes), mod_n, k, s_div)
 
 
-def brute_force_zero_oracle(ctx, cap=None):
+def brute_force_zero_oracle(ctx, cap=DEFAULT_ENUM_CAP):
     """All n mod P*p^(k_work-1) with Tr(gamma eta^n) = c mod p^k_work, by sweep.
 
     The sweep visits every n, running the trace recurrence of eta's
     characteristic polynomial from the first d traces; the same code serves
-    every algebra, of any rank.
+    every algebra, of any rank.  It works on the integral pair (gamma, c)
+    itself, not the primitive reduced one, and raises ValueError when the
+    P*p^(k_work-1) classes exceed ``cap``.
     """
     p, k = ctx.p, ctx.k_work
     total = ctx.P * p ** (k - 1)
-    if total > (cap if cap is not None else ctx.enum_cap):
+    if total > cap:
         raise ValueError(f"sweep size {total} exceeds enumeration cap")
     A = ctx.A
     traces = []
@@ -861,12 +852,12 @@ def cubic_degenerate(ctx, a):
     return CubicDegenerateData(R, tuple(roots), branches)
 
 
-def finite_jet(ctx, a, r, reduced=True):
+def finite_jet(ctx, a, r):
     """Q_{a,r}: the order-r jet under the divisibility hypotheses C_m in p^(r-m)."""
     p = ctx.p
     if not 1 <= r < p:
         raise ValueError("jet order must satisfy 1 <= r < p")
-    cs = ctx.class_coefficients(a, r + 1, reduced=reduced)
+    cs = ctx.class_coefficients(a, r + 1)
     jet = []
     for m, C in enumerate(cs):
         need = r - m
@@ -876,7 +867,7 @@ def finite_jet(ctx, a, r, reduced=True):
     return tuple(jet)
 
 
-def shifted_jet(ctx, a, t0, j, R, reduced=True):
+def shifted_jet(ctx, a, t0, j, R):
     """Q^(j,t0)_{a,R} on the residue disk t = t0 + p^j Y."""
     p = ctx.p
     M = R // (j + 1)
@@ -885,14 +876,13 @@ def shifted_jet(ctx, a, t0, j, R, reduced=True):
     A = ctx.A
     etaPj = A.pow(ctx.etaP, p**j)
     Uj = A.divide_exact(A.sub(etaPj, A.one), p ** (j + 1))
-    y = A.mul(ctx.class_point(a, reduced=reduced), A.pow(ctx.etaP, t0))
-    c = ctx.c0 if reduced else ctx.c_int
+    y = A.mul(ctx.class_point(a), A.pow(ctx.etaP, t0))
     jet = []
     upow = A.one
     for m in range(M + 1):
         C = A.trace(A.mul(y, upow))
         if m == 0:
-            C -= c
+            C -= ctx.c0
         need = R - (j + 1) * m
         if C % p ** max(need, 0):
             raise ValueError(f"shifted divisibility hypothesis fails at m={m}")
@@ -908,7 +898,7 @@ class MultiplicityData:
     weierstrass_degree: int
 
 
-def intersection_multiplicity(ctx, a, reduced=True):
+def intersection_multiplicity(ctx, a):
     """(p-power shift, distinguished-factor degree) of F_{a,c}; transverse -> 1.
 
     The shift is min_m (m + v_p(C'_m)) and the degree the largest m attaining
@@ -917,7 +907,7 @@ def intersection_multiplicity(ctx, a, reduced=True):
     """
     p = ctx.p
     K = ctx.K
-    cs = ctx.class_coefficients(a, K, reduced=reduced)
+    cs = ctx.class_coefficients(a, K)
     best = None
     vals = []
     for m, C in enumerate(cs):
@@ -936,7 +926,7 @@ def intersection_multiplicity(ctx, a, reduced=True):
     return MultiplicityData(best, deg)
 
 
-def higher_order_transverse(ctx, a, r, reduced=True):
+def higher_order_transverse(ctx, a, r):
     """Unique zero tau with v(F(t)) = r + v(t - tau) when eta^P = 1 + p^r U, d^(r) != 0."""
     p = ctx.p
     A = ctx.A
@@ -945,20 +935,17 @@ def higher_order_transverse(ctx, a, r, reduced=True):
         raise ValueError("eta^P is not 1 mod p^r")
     Ur = A.divide_exact(diff, p**r)
     omega_r = tuple(c % p for c in Ur)
-    y = ctx.class_point(a, reduced=reduced)
-    x = tuple(c % p for c in y)
+    y = ctx.class_point(a)
     d_r = A.trace(A.mul(y, Ur)) % p
     if d_r == 0:
         raise ValueError("higher-order tangent vanishes: not transverse")
-    c = ctx.c0 if reduced else ctx.c_int
-    F0 = (A.trace(y) - c) % p ** min(ctx.K, r + 1)
+    F0 = (A.trace(y) - ctx.c0) % p ** min(ctx.K, r + 1)
     if F0 % p**r:
         raise ValueError("F(0) is not divisible by p^r")
-    K = ctx.k0 if reduced else ctx.k_work
     dinv = _invmod(d_r, p)
     tau = 0
-    for j in range(0, max(0, K - r)):
-        val = ctx.f_eval(a, tau, r + j + 1, reduced=reduced)
+    for j in range(0, max(0, ctx.k0 - r)):
+        val = ctx.f_eval(a, tau, r + j + 1)
         if val % p ** (r + j):
             raise ArithmeticError("higher-order lift: F(tau) lost divisibility")
         w = -(val // p ** (r + j)) * dinv % p

@@ -8,7 +8,6 @@ diagnostic fields.  Exit codes: 0 ok, 1 check failure, 2 usage, 3 internal.
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
@@ -16,8 +15,8 @@ from fractions import Fraction
 from . import counts as counts_mod
 from . import stats as stats_mod
 from . import verify as verify_mod
-from .algebra import ZpCubicAlgebra, canonical_algebra
-from .branch import BranchContext, brute_force_zero_oracle, certified_zero_set
+from .algebra import ZpCubicAlgebra, canonical_algebra, vp
+from .branch import DEFAULT_ENUM_CAP, BranchContext, brute_force_zero_oracle, certified_zero_set
 from .census import CensusQuery, brute_force_census, singular_census
 from .counts import CountQuery
 from .rankd import affine_sharpness, jet_versality, sharpness_construction
@@ -29,10 +28,6 @@ from .torus import (
     nodal_concentration_check,
 )
 from .wieferich import CubicOrderSpec, scan
-
-
-def default_enum_cap():
-    return int(os.environ.get("TTL_CAP_ENUM", 10**6))
 
 
 class UsageError(ValueError):
@@ -79,26 +74,28 @@ def resolve_element(text, algebra):
 
 
 def parse_algebra_spec(spec):
-    """'p=5;k=3;f=0,2,2' or 'p=5;k=3;split=0,1,2' -> ZpCubicAlgebra."""
+    """'p=5;f=0,2,2' or 'p=5;split=0,1,2' -> ZpCubicAlgebra over F_p; lift with at_precision."""
     fields = {}
     for part in spec.split(";"):
         if "=" not in part:
             raise UsageError(f"bad algebra field {part!r}")
         key, val = part.split("=", 1)
         fields[key.strip()] = val.strip()
+    unknown = sorted(set(fields) - {"p", "f", "split"})
+    if unknown:
+        raise UsageError(f"unknown algebra field {unknown[0]!r}; branch precision comes from --k")
     try:
         p = int(fields["p"])
     except KeyError:
         raise UsageError("algebra spec needs p=<prime>") from None
-    k = int(fields.get("k", 1))
     if "split" in fields:
         roots = tuple(int(x) for x in fields["split"].split(","))
-        return ZpCubicAlgebra.from_split_roots(p, max(k, 1), roots)
+        return ZpCubicAlgebra.from_split_roots(p, 1, roots)
     if "f" in fields:
         f = tuple(int(x) for x in fields["f"].split(","))
         if len(f) != 3:
             raise UsageError("f needs three coefficients (constant first)")
-        return ZpCubicAlgebra(p, max(k, 1), f)
+        return ZpCubicAlgebra(p, 1, f)
     raise UsageError("algebra spec needs f=... or split=...")
 
 
@@ -265,14 +262,16 @@ def cmd_census(args):
 
 
 def cmd_branch(args):
-    A = parse_algebra_spec(args.algebra)
+    B = parse_algebra_spec(args.algebra)
+    c = parse_rational(args.c, B.p)
+    _, gden, _ = parse_element(args.gamma)
+    # an upper bound on the context's K = max(k + e_aff, 2), so the elements are exact at K
+    A = B.at_precision(max(args.k + max(gden, vp(c.denominator, B.p)), 2))
     eta, eden = resolve_element(args.eta, A)
     if eden:
         raise UsageError("eta must be integral")
     gamma, gden = resolve_element(args.gamma, A)
-    c = parse_rational(args.c, A.p)
-    ctx = BranchContext(A, eta, gamma, c=c, k=args.k, gamma_den=gden,
-                        enum_cap=args.cap_enum)
+    ctx = BranchContext(A, eta, gamma, c=c, k=args.k, gamma_den=gden)
     res = certified_zero_set(ctx)
     descriptors = [
         {"kind": d.kind, "a": d.a, "data": d.data, "residues": list(d.residues)}
@@ -291,7 +290,7 @@ def cmd_branch(args):
     }
     code = 0
     if args.oracle:
-        orc = brute_force_zero_oracle(ctx)
+        orc = brute_force_zero_oracle(ctx, args.cap_enum)
         payload["oracle_agrees"] = res.classes == orc
         if not payload["oracle_agrees"]:
             code = 1
@@ -441,7 +440,7 @@ def build_parser():
     parser.add_argument("--json", action="store_true", help="emit one JSON document")
     parser.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
     parser.add_argument("--cap-p", type=int, default=counts_mod.DEFAULT_PRIME_CAP)
-    parser.add_argument("--cap-enum", type=int, default=default_enum_cap())
+    parser.add_argument("--cap-enum", type=int, default=DEFAULT_ENUM_CAP)
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("count", help="prescribed trace/norm count")
@@ -475,7 +474,8 @@ def build_parser():
     c.set_defaults(func=cmd_census)
 
     c = sub.add_parser("branch", help="certified local branch descriptors")
-    c.add_argument("--algebra", required=True, help="p=5;k=3;f=0,2,2 or p=5;k=3;split=0,1,2")
+    c.add_argument("--algebra", required=True,
+                   help="p=5;f=0,2,2 or p=5;split=0,1,2; precision comes from --k")
     c.add_argument("--eta", required=True)
     c.add_argument("--gamma", required=True)
     c.add_argument("--c", default="0")

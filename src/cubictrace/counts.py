@@ -152,17 +152,17 @@ def nodal_count(B, s):
     )
 
 
-def count(query, cap=DEFAULT_PRIME_CAP):
+def count(query):
     """N_B(s, n) by the applicable closed formula (smooth or nodal)."""
     if is_smooth_fiber(query.B.p, query.s, query.n):
         return smooth_formula_count(query)
     return nodal_count(query.B, query.s)
 
 
-def actual_count(B, s, n, cap=DEFAULT_PRIME_CAP):
-    """The actual affine count N_B(s, n) (enumeration when feasible, else formula)."""
-    if B.p <= cap:
-        return brute_force_count(CountQuery(B, s, n), cap).value
+def actual_count(B, s, n):
+    """The actual affine count N_B(s, n): enumeration for p <= DEFAULT_PRIME_CAP, else formula."""
+    if B.p <= DEFAULT_PRIME_CAP:
+        return brute_force_count(CountQuery(B, s, n)).value
     return count(CountQuery(B, s, n)).value
 
 

@@ -38,7 +38,7 @@ def rankd_classify(ctx, a, affine=None):
     p, d = ctx.p, A.d
     if affine is None:
         affine = ctx.c_int % p ** ctx.k_work != 0
-    x = tuple(c % p for c in ctx.class_point(a, reduced=True))
+    x = tuple(c % p for c in ctx.class_point(a))
     if all(c == 0 for c in x):
         raise ValueError("class reduces to zero: primitive reduction incomplete")
     omega = ctx.omega
@@ -77,10 +77,9 @@ class SharpnessReport:
     passed: bool
 
 
-def sharpness_construction(p, d, Omega, precision=None):
+def sharpness_construction(p, d, Omega):
     """gamma_i = p^(d-1)/prod(q_i - q_j) realizing F(0)=...=F(d-2)=0, F(d-1)=p^(d-1)."""
-    K = precision if precision is not None else d + 2
-    A = RankDSplitAlgebra(p, K, d)
+    A = RankDSplitAlgebra(p, d + 2, d)
     m = A.modulus
     Om = [int(w) for w in Omega]
     if len(Om) != d or len({w % p for w in Om}) != d:
@@ -110,7 +109,7 @@ class VersalityReport:
     passed: bool
 
 
-def jet_versality(p, d, Q, precision=None):
+def jet_versality(p, d, Q):
     """gamma = sum p^(e-j) c_j z_j with reduced jet exactly Q (binomial basis)."""
     Q = tuple(c % p for c in Q)
     e = len(Q) - 1
@@ -118,8 +117,7 @@ def jet_versality(p, d, Q, precision=None):
         raise ValueError("jet degree must be at most d-1")
     if Q[e] == 0:
         raise ValueError("leading binomial coefficient must be nonzero")
-    K = precision if precision is not None else max(e + 2, 3)
-    A = RankDSplitAlgebra(p, K, d)
+    A = RankDSplitAlgebra(p, max(e + 2, 3), d)
     Om = tuple(range(d))
     eta = tuple((1 + p * w) % A.modulus for w in Om)
     duals = A.power_dual_basis(Om)
@@ -142,12 +140,11 @@ class AffineSharpnessReport:
     passed: bool
 
 
-def affine_sharpness(p, d, precision=None):
+def affine_sharpness(p, d):
     """y = z0, c = 1: zeros exactly {0..d-1} and F(d) = -a0 p^d, a0 = (-1)^d prod(Omega)."""
     if p <= d + 1:
         raise ValueError("affine sharpness needs p > d + 1")
-    K = precision if precision is not None else d + 2
-    A = RankDSplitAlgebra(p, K, d)
+    A = RankDSplitAlgebra(p, d + 2, d)
     m = A.modulus
     Om = tuple(range(1, d + 1))  # unit coordinates, pairwise distinct reductions
     eta = tuple((1 + p * w) % m for w in Om)

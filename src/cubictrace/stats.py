@@ -127,12 +127,12 @@ class JetTally:
     freq_zero: Fraction
 
 
-def jet_family_statistics(B, omega, x, c, U_lift=None, y0_lift=None):
+def jet_family_statistics(B, omega, x, c, U_lift=None):
     """Exact statistics of (A_y, B_y) over the full lift family y = y0+p*a+p^2*b.
 
     ``B`` is the reduced algebra of a Z/p^3 context; the defining cubic is
-    lifted verbatim.  Requires Tr(x) = c mod p, Tr(omega x) = 0, and
-    Delta = Tr(omega^2 x) != 0.
+    lifted verbatim, and y0 is x's coefficient triple read in Z/p^3.
+    Requires Tr(x) = c mod p, Tr(omega x) = 0, and Delta = Tr(omega^2 x) != 0.
     """
     p = B.p
     if not B.is_generator(omega):
@@ -148,9 +148,7 @@ def jet_family_statistics(B, omega, x, c, U_lift=None, y0_lift=None):
     U = A.reduce(U_lift if U_lift is not None else omega)
     if tuple(u % p for u in U) != omega:
         raise ValueError("U must lift omega")
-    y0 = A.reduce(y0_lift if y0_lift is not None else x)
-    if tuple(y % p for y in y0) != B.reduce(x):
-        raise ValueError("y0 must lift x")
+    y0 = A.reduce(x)
     p2, p3 = p * p, p**3
     T0 = (A.trace(y0) - c) % p3
     B0 = A.trace(A.mul(y0, U)) % p3

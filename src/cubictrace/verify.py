@@ -100,8 +100,8 @@ def check_factorization_census(pset=(5, 7, 11, 13)):
 # -- criterion 3: smooth coset bound ---------------------------------------------
 
 
-def norm_representative_units(B, rng, extra=20):
-    """One unit per norm value plus ``extra`` random units."""
+def norm_representative_units(B, rng):
+    """One unit per norm value plus 20 random units."""
     by_norm = {}
     units = []
     for x in B.elements():
@@ -110,7 +110,7 @@ def norm_representative_units(B, rng, extra=20):
             units.append(x)
             by_norm.setdefault(n, x)
     sample = list(by_norm.values())
-    sample.extend(rng.choice(units) for _ in range(extra))
+    sample.extend(rng.choice(units) for _ in range(20))
     return sample
 
 
@@ -153,8 +153,8 @@ def check_coset_bound(pset=(5, 7), seed=DEFAULT_SEED):
 # -- criterion 4: nodal coset structure -------------------------------------------
 
 
-def nodal_gammas(B, rng, per_norm=1):
-    """(gamma, s) nodal pairs covering every nodal s in F_p^x."""
+def nodal_gammas(B, rng):
+    """One (gamma, s) nodal pair for every nodal s in F_p^x."""
     p = B.p
     units_by_norm = {}
     for x in B.elements():
@@ -164,8 +164,7 @@ def nodal_gammas(B, rng, per_norm=1):
     out = []
     for s in range(1, p):
         n = s**3 * pow(27, -1, p) % p
-        for _ in range(per_norm):
-            out.append((rng.choice(units_by_norm[n]), s))
+        out.append((rng.choice(units_by_norm[n]), s))
     return out
 
 
@@ -229,8 +228,10 @@ def _random_zp_algebra(rng, p, k, splitting_type):
             return A
 
 
-def random_branch_context(rng, splitting_type, pchoices=(5, 7, 11), kmax=5, cap=200_000):
-    p = rng.choice(pchoices)
+def random_branch_context(rng, splitting_type, cap):
+    """A random context at p in {5, 7, 11}, k <= 5, with at most ``cap`` oracle classes."""
+    kmax = 5
+    p = rng.choice((5, 7, 11))
     A = _random_zp_algebra(rng, p, kmax + 3, splitting_type)
     m = A.modulus
     while True:
@@ -254,7 +255,7 @@ def random_branch_context(rng, splitting_type, pchoices=(5, 7, 11), kmax=5, cap=
     return None
 
 
-def check_branch_oracle(seed=DEFAULT_SEED, per_type=500, cap=200_000):
+def check_branch_oracle(seed, per_type, cap):
     rng = random.Random(seed)
     records = []
     # the split worked example: digits {0,1} from Q_0 = X(X-1)
@@ -309,7 +310,7 @@ def check_branch_oracle(seed=DEFAULT_SEED, per_type=500, cap=200_000):
             if ctx is None:
                 continue
             tested += 1
-            if certified_zero_set(ctx).classes != brute_force_zero_oracle(ctx):
+            if certified_zero_set(ctx).classes != brute_force_zero_oracle(ctx, cap):
                 mismatches += 1
         records.append(_rec(f"branch-oracle/randomized/{name}/n={tested}", 0, mismatches))
     return records
@@ -318,13 +319,14 @@ def check_branch_oracle(seed=DEFAULT_SEED, per_type=500, cap=200_000):
 # -- criterion 6: census reconciliation --------------------------------------------
 
 
-def full_fiber_context(B, rng, c=0, k=2, norm_order=1, tries=6000):
-    """Context whose reduced orbit is the full union of fibers over a norm
-    subgroup of the given order (1 = the norm-one orbit)."""
+def full_fiber_context(B, rng, c=0, norm_order=1):
+    """Context at k = 2 whose reduced orbit is the full union of fibers over a
+    norm subgroup of the given order (1 = the norm-one orbit); None after 6000
+    random tries."""
     p = B.p
-    A = ZpCubicAlgebra(p, max(k, 2), B.f)
+    A = ZpCubicAlgebra(p, 2, B.f)
     target = B.torus_order() * norm_order
-    for _ in range(tries):
+    for _ in range(6000):
         x = tuple(rng.randrange(A.modulus) for _ in range(3))
         if not A.is_unit(x):
             continue
@@ -332,7 +334,7 @@ def full_fiber_context(B, rng, c=0, k=2, norm_order=1, tries=6000):
         nb = B.norm(xb)
         if pow(nb, norm_order, p) != 1 or B.element_order(xb) != target:
             continue
-        ctx = BranchContext(A, x, (1, 0, 0), c=c, k=k)
+        ctx = BranchContext(A, x, (1, 0, 0), c=c, k=2)
         if B.is_generator(ctx.omega):
             return ctx
     return None
@@ -462,7 +464,7 @@ def check_statistics(seed=DEFAULT_SEED):
 # -- criterion 8: appendix A -----------------------------------------------------------
 
 
-def check_rankd(seed=DEFAULT_SEED, contexts=200):
+def check_rankd(seed, contexts):
     from .algebra import RankDSplitAlgebra
     from .branch import digit_recursion
 

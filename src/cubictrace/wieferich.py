@@ -119,7 +119,9 @@ def higher_tangent(spec, p, max_r=DEFAULT_MAX_R):
 
 
 def scan(spec, p_min, p_max, max_r=DEFAULT_MAX_R):
-    """One report per prime in [p_min, p_max]; inert primes get the full test."""
+    """One report per prime in [max(p_min, 5), p_max]; inert primes get the full test."""
+    if max(p_min, 5) > p_max:
+        raise ValueError(f"empty prime range: pmin={p_min}, pmax={p_max} (primes start at 5)")
     reports = []
     disc = spec.disc
     for p in range(max(p_min, 5), p_max + 1):

@@ -577,9 +577,9 @@ def test_inflation_rule():
 def test_oracle_cap_enforced():
     A = split5(4)
     eta = A.from_split_coords((1, 6, 11))
-    ctx = BranchContext(A, eta, (1, 0, 0), c=0, k=4, enum_cap=10)
+    ctx = BranchContext(A, eta, (1, 0, 0), c=0, k=4)
     with pytest.raises(ValueError):
-        brute_force_zero_oracle(ctx)
+        brute_force_zero_oracle(ctx, cap=10)
     assert brute_force_zero_oracle(ctx, cap=10**6) is not None
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cubictrace import verify
 from cubictrace.cli import main, parse_algebra_spec, parse_element
 
 
@@ -28,20 +29,10 @@ def test_element_format_roundtrip():
         assert parse_element(format_element(coeffs, den, split)) == (coeffs, den, split)
 
 
-def test_enum_cap_env_override(monkeypatch):
-    from cubictrace.cli import build_parser
-
-    monkeypatch.setenv("TTL_CAP_ENUM", "12345")
-    args = build_parser().parse_args(
-        ["count", "--p", "5", "--type", "inert", "--s", "0", "--n", "1"]
-    )
-    assert args.cap_enum == 12345
-
-
 def test_parse_algebra_spec():
-    A = parse_algebra_spec("p=5;k=3;f=0,2,2")
-    assert A.p == 5 and A.k == 3 and A.f == (0, 2, 2)
-    B = parse_algebra_spec("p=5;k=3;split=0,1,2")
+    A = parse_algebra_spec("p=5;f=0,2,2")
+    assert A.p == 5 and A.k == 1 and A.f == (0, 2, 2)
+    B = parse_algebra_spec("p=5;split=0,1,2")
     assert B.splitting_type == "split"
 
 
@@ -74,7 +65,7 @@ def test_json_determinism(capsys):
 def test_branch_command_worked_example(capsys):
     code, out = run_cli(
         capsys, "--json", "branch",
-        "--algebra", "p=5;k=3;split=0,1,2",
+        "--algebra", "p=5;split=0,1,2",
         "--eta", "1|6|11", "--gamma", "1|-2|1", "--k", "3", "--oracle",
     )
     assert code == 0
@@ -83,12 +74,14 @@ def test_branch_command_worked_example(capsys):
     kinds = {d["kind"] for d in doc["descriptors"]}
     assert "singular-simple-root" in kinds
     assert sorted({t % 5 for t in doc["classes"]}) == [0, 1]
+    # the spec carries no precision: --k 3 alone gives the 10 classes mod 25
+    assert doc["classes"] == [0, 1, 5, 6, 10, 11, 15, 16, 20, 21]
 
 
 def test_branch_rational_gamma(capsys):
     code, out = run_cli(
         capsys, "--json", "branch",
-        "--algebra", "p=5;k=4;split=0,1,2",
+        "--algebra", "p=5;split=0,1,2",
         "--eta", "1|6|11", "--gamma", "5,10,5/p", "--k", "2", "--oracle",
     )
     assert code == 0 and json.loads(out)["oracle_agrees"]
@@ -148,10 +141,34 @@ def test_usage_error_exit_2(capsys):
     code = main(["count", "--p", "4", "--type", "inert", "--s", "0", "--n", "1"])
     assert code == 2
     code = main([
-        "branch", "--algebra", "p=5;k=2;f=0,0,0", "--eta", "0,1,0",
+        "branch", "--algebra", "p=5;f=0,0,0", "--eta", "0,1,0",
         "--gamma", "1,0,0", "--k", "2",
     ])
     assert code == 2  # ramified cubic rejected
+
+
+BRANCH_EXAMPLE = ["--eta", "1|6|11", "--gamma", "1|-2|1", "--k", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["nodal", "--p", "2", "--type", "split", "--gamma", "1,0,0"], "p must be a prime"),
+        (["wieferich", "--g=-1,-1,0", "--eta", "0,1,0", "--pmin", "5", "--pmax", "3"], "pmin"),
+        (["branch", "--algebra", "p=5;k=1;split=0,1,2", *BRANCH_EXAMPLE], "'k'"),
+        (["branch", "--algebra", "p=5;q=7;split=0,1,2", *BRANCH_EXAMPLE], "'q'"),
+    ],
+    ids=["nodal-p", "wieferich-range", "branch-spec-k", "branch-spec-unknown-field"],
+)
+def test_out_of_range_input_exits_2_naming_the_parameter(capsys, argv, named):
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_branch_oracle_honours_the_enumeration_cap():
+    # contexts are drawn up to the cap, and the oracle must accept all of them
+    res = verify.run_all(caps={"enum": 2_000_000, "branch_contexts": 4}, only=["5-branch-oracle"])
+    assert res.summary["failed"] == 0
 
 
 def test_unknown_subcommand_exits_2():

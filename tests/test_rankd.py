@@ -30,7 +30,7 @@ def test_sharpness_construction_examples():
 
 
 def test_sharpness_zeros_via_generic_engine():
-    A, eta, rep = sharpness_construction(7, 3, (1, 2, 3), precision=6)
+    A, eta, rep = sharpness_construction(7, 3, (1, 2, 3))
     ctx = BranchContext(A, eta, rep.gamma, c=0, k=4)
     zeros = certified_zero_set(ctx).classes
     assert zeros == brute_force_zero_oracle(ctx)

@@ -77,7 +77,10 @@ def test_parse_element_rejects_junk(bad):
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "p=5", "p=5;f=1,2", "k=3;f=0,2,2", "p=4;k=1;f=1,1,0", "p=5;k=1;f=0,0,0"],
+    [
+        "", "p=5", "p=5;f=1,2", "k=3;f=0,2,2", "p=4;k=1;f=1,1,0", "p=5;k=1;f=0,0,0",
+        "p=4;f=1,1,0", "p=5;f=0,0,0",
+    ],
 )
 def test_parse_algebra_rejects_junk(bad):
     with pytest.raises((UsageError, ValueError)):
