@@ -218,57 +218,6 @@ class BranchContext:
                 upow = A.mul(upow, self.U)
         return out
 
-    def mod_p_classes(self):
-        """Z_{p,c}(1): classes a mod P with Tr(x_a) = c0 mod p."""
-        A = self.A
-        p = self.p
-        c = self.c0 % p
-        out = []
-        y = self.gamma0_elt
-        for a in range(self.P):
-            if (A.trace(y) - c) % p == 0:
-                out.append(a)
-            y = A.mul(y, self.eta_elt)
-        return out
-
-
-# ---------------------------------------------------------------------------
-# truncated branch series
-
-
-@dataclass
-class TruncatedBranchSeries:
-    """F_{a,c} as binomial-basis coefficients b_m mod p^N, m < M(N)."""
-
-    p: int
-    precision: int
-    coeffs: tuple
-
-    def evaluate(self, t):
-        """Exact value mod p^precision at an integer branch parameter t."""
-        q = self.p**self.precision
-        total = 0
-        binom = 1
-        for m, b in enumerate(self.coeffs):
-            if m:
-                binom = binom * (t - m + 1) // m
-            total = (total + b * binom) % q
-        return total
-
-
-def branch_series(ctx, a, N):
-    """The truncated branch series of the reduced problem at class a."""
-    if ctx.reduction.tag != REDUCED:
-        raise ValueError("context has no primitive-reduced problem")
-    if N > ctx.K:
-        raise PrecisionError(f"series precision {N} exceeds context precision {ctx.K}")
-    p = ctx.p
-    q = p**N
-    mmax = binomial_cutoff(N, p)
-    cs = ctx.class_coefficients(a, mmax)
-    coeffs = tuple(c * p**m % q for m, c in enumerate(cs))
-    return TruncatedBranchSeries(p, N, coeffs)
-
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_p and Z/p^N
@@ -452,17 +401,6 @@ def _distinguished_factor(H, e, p, N):
 # the per-class jet cascade
 
 
-@dataclass
-class ClassData:
-    a: int
-    d_a: int
-    delta_a: int | None
-    s_shift: int | None
-    jet: tuple | None  # binomial-basis jet coefficients mod p
-    tau: int | None = None  # transverse branch, mod p^(k0-1)
-    obstruction: int | None = None  # (T_a - c)/p mod p for singular classes
-
-
 def _class_jet(ctx, a, k0):
     """(s_shift, jet) of the reduced class at precision k0; function-level view."""
     p = ctx.p
@@ -484,34 +422,6 @@ def _class_jet(ctx, a, k0):
         if m + v == best and m <= best:
             jet[m] = Cm // p ** (best - m) % p
     return best, tuple(jet)
-
-
-def classify_class(ctx, a):
-    """Diagnostic record for a reduced target class (transverse/singular/...).
-
-    Transverse classes (d_a != 0) carry their Hensel branch tau mod
-    p^(k0-1); singular classes carry the lower obstruction (T_a - c)/p.
-    """
-    if ctx.reduction.tag != REDUCED:
-        raise ValueError("context has no primitive-reduced problem")
-    A, p = ctx.A, ctx.p
-    y = ctx.class_point(a)
-    t_diff = A.trace(y) - ctx.c0
-    if t_diff % p != 0:
-        raise ValueError(f"class {a} is not a target class mod p")
-    d_a = A.trace(A.mul(y, ctx.U)) % p
-    delta_a = A.trace(A.mul(y, A.mul(ctx.U, ctx.U))) % p
-    s_shift, jet = _class_jet(ctx, a, ctx.k0)
-    tau = obstruction = None
-    if d_a != 0 and ctx.k0 >= 2:
-        rho = -(t_diff % p**2 // p) * _invmod(d_a, p) % p
-        tau = _lift_simple_root(ctx, a, 1, rho, d_a, ctx.k0)
-    elif d_a == 0 and ctx.k0 >= 2:
-        obstruction = t_diff % p**2 // p % p
-    return ClassData(
-        a=a, d_a=d_a, delta_a=delta_a, s_shift=s_shift, jet=jet,
-        tau=tau, obstruction=obstruction,
-    )
 
 
 def _lift_simple_root(ctx, a, s_shift, rho, dG, k0):
@@ -743,7 +653,11 @@ def brute_force_zero_oracle(ctx, cap=DEFAULT_ENUM_CAP):
 
 
 # ---------------------------------------------------------------------------
-# spec-level views over the cascade (quadratic, Weierstrass, cubic, jets)
+# the paper's explicit models, computed from the class coefficients alone
+# (quadratic, cubic, finite and shifted jets, higher-order transverse).  The
+# per-class facts the cascade already finds -- the class list, d_a, delta_a,
+# shift, jet, tau and the Weierstrass factor W -- are read from the
+# descriptors of certified_zero_set, not recomputed here.
 
 
 @dataclass
@@ -784,19 +698,6 @@ def quadratic_singular(ctx, a):
     return QuadraticSingularData(
         (A_a, B_a, delta), D_a, alt, tuple(r for r, _ in roots)
     )
-
-
-def weierstrass_quadratic(ctx, a, r, N=None):
-    """Distinguished quadratic W = Y^2 + bY + c (b, c in pZ) on a double-root disk."""
-    if N is None:
-        N = ctx.k0
-    qs = quadratic_singular(ctx, a)
-    if qs.alternative != "DoubleRoot":
-        raise ValueError("disk is not a double-root disk")
-    if r % ctx.p != qs.roots[0]:
-        raise ValueError("r is not the double root")
-    W, _ = _disk_factor_solutions(ctx, a, r % ctx.p, 2, 2, N)
-    return W
 
 
 @dataclass
@@ -890,40 +791,6 @@ def shifted_jet(ctx, a, t0, j, R):
         if m <= M:
             upow = A.mul(upow, Uj)
     return tuple(jet)
-
-
-@dataclass
-class MultiplicityData:
-    s_shift: int
-    weierstrass_degree: int
-
-
-def intersection_multiplicity(ctx, a):
-    """(p-power shift, distinguished-factor degree) of F_{a,c}; transverse -> 1.
-
-    The shift is min_m (m + v_p(C'_m)) and the degree the largest m attaining
-    it; both are certified from the coefficients known at context precision,
-    and a PrecisionError reports the indeterminate all-vanishing case.
-    """
-    p = ctx.p
-    K = ctx.K
-    cs = ctx.class_coefficients(a, K)
-    best = None
-    vals = []
-    for m, C in enumerate(cs):
-        prec = K - m
-        if prec <= 0:
-            break
-        v = vp(C % p**prec, p, cap=prec)
-        vals.append((m, v))
-        if best is None or m + v < best:
-            best = m + v
-    if best is None or best >= K:
-        raise PrecisionError(
-            f"cannot certify a nonzero reduction at precision {K}: indeterminate"
-        )
-    deg = max(m for m, v in vals if m + v == best)
-    return MultiplicityData(best, deg)
 
 
 def higher_order_transverse(ctx, a, r):

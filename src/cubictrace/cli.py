@@ -88,6 +88,8 @@ def parse_algebra_spec(spec):
         p = int(fields["p"])
     except KeyError:
         raise UsageError("algebra spec needs p=<prime>") from None
+    if "split" in fields and "f" in fields:
+        raise UsageError("algebra spec gives both 'f' and 'split'; give one of them")
     if "split" in fields:
         roots = tuple(int(x) for x in fields["split"].split(","))
         return ZpCubicAlgebra.from_split_roots(p, 1, roots)
@@ -439,7 +441,11 @@ def build_parser():
     )
     parser.add_argument("--json", action="store_true", help="emit one JSON document")
     parser.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
-    parser.add_argument("--cap-p", type=int, default=counts_mod.DEFAULT_PRIME_CAP)
+    parser.add_argument(
+        "--cap-p", type=int, default=counts_mod.DEFAULT_PRIME_CAP,
+        help="largest p that `count` enumerates by brute force (--method both or brute); "
+        "nothing else reads it",
+    )
     parser.add_argument("--cap-enum", type=int, default=DEFAULT_ENUM_CAP)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -514,9 +520,12 @@ def build_parser():
     c.set_defaults(func=cmd_wieferich)
 
     c = sub.add_parser("verify-all", help="run the full acceptance matrix")
-    c.add_argument("--pset", default="5,7")
-    c.add_argument("--branch-contexts", type=int, default=500)
-    c.add_argument("--rankd-contexts", type=int, default=200)
+    c.add_argument("--pset", default="5,7",
+                   help="primes of criteria 3 and 4; the other criteria use fixed prime sets")
+    c.add_argument("--branch-contexts", type=int,
+                   default=verify_mod.DEFAULT_CAPS["branch_contexts"])
+    c.add_argument("--rankd-contexts", type=int,
+                   default=verify_mod.DEFAULT_CAPS["rankd_contexts"])
     c.add_argument("--fault", help=argparse.SUPPRESS)  # harness self-test hook
     c.set_defaults(func=cmd_verify_all)
 

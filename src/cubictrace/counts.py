@@ -73,9 +73,7 @@ def brute_force_count(query, cap=DEFAULT_PRIME_CAP):
     B, p = query.B, query.B.p
     if p > cap:
         raise ValueError(f"prime {p} exceeds brute-force cap {cap}")
-    hist = unit_histogram(B)
-    value = hist[(query.s % p) * p + query.n % p]
-    return CountReport(value, BRUTE_FORCE)
+    return CountReport(actual_count(B, query.s, query.n), BRUTE_FORCE)
 
 
 @cache
@@ -160,10 +158,11 @@ def count(query):
 
 
 def actual_count(B, s, n):
-    """The actual affine count N_B(s, n): enumeration for p <= DEFAULT_PRIME_CAP, else formula."""
-    if B.p <= DEFAULT_PRIME_CAP:
-        return brute_force_count(CountQuery(B, s, n)).value
-    return count(CountQuery(B, s, n)).value
+    """The actual affine count N_B(s, n), read from unit_histogram(B) at every p."""
+    p = B.p
+    if n % p == 0:
+        raise ValueError("norm target must be nonzero")
+    return unit_histogram(B)[(s % p) * p + n % p]
 
 
 def factorization_census(p, eps):

@@ -14,11 +14,10 @@ The nodal check needs no scan of H either: whether gH meets h_* K_B^exc,
 exceptional kernel (see nodal_coset_check).
 
 All pass/fail verdicts here are exact integer tests: the square-root bounds are
-verified by squaring, and characters are exponent tuples.  Floats appear
-only in the explicitly-labelled character-sum diagnostic.
+verified by squaring, and characters are exponent tuples (chi(h) is
+zeta_d1^value_exp(h), kept as the exponent).  The module holds no float.
 """
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -306,10 +305,6 @@ class CharacterExponent:
         o2 = d2 // gcd(d2, self.e2) if d2 else 1
         return o1 * o2 // gcd(o1, o2)
 
-    def complex_value(self, coord):
-        """Diagnostic only: the character value as a complex float."""
-        return cmath.exp(2j * cmath.pi * self.value_exp(coord) / self.torus.d1)
-
     def __eq__(self, other):
         return (self.e1, self.e2) == (other.e1, other.e2)
 
@@ -325,11 +320,6 @@ class ExceptionalGroup:
     size: int
     generator: CharacterExponent | None
     kernel_coords: frozenset
-
-
-def exceptional_group(T):
-    """E_B and its kernel K_B^exc inside T = T_B(F_p); see TorusGroup.exceptional."""
-    return T.exceptional
 
 
 def _split_exceptional_character(T):
@@ -513,7 +503,7 @@ class ConcentrationReport:
 def nodal_concentration_check(T, gamma, s):
     """Every rational nodal fiber point lies in h_* K_B^exc (vacuous when |E_B|=1)."""
     B = T.B
-    exc = exceptional_group(T)
+    exc = T.exceptional
     hstar = nodal_base_point(T, gamma, s)
     cstar = T.coords(hstar)
     fiber = trace_fibers(T, gamma)[s % B.p]
@@ -566,7 +556,7 @@ def nodal_coset_check(T, H, g, gamma, s):
     n_nod = counts_mod.actual_count(B, s, n)
     m = H.index
     cnt = H.coset_count(fibers[s % q], g)
-    chi = exceptional_group(T).generator
+    chi = T.exceptional.generator
     if chi is None or not H.in_exceptional_kernel:
         main, u = Fraction(n_nod, m), 1
     else:
@@ -586,27 +576,3 @@ def nodal_coset_check(T, H, g, gamma, s):
         exceptional_in_annihilator=u,
         passed=passed,
     )
-
-
-# -- diagnostics ----------------------------------------------------------------
-
-
-def character_sum(T, chi, gamma, s):
-    """S_chi(s; gamma) as a complex float (diagnostic only)."""
-    B = T.B
-    s %= B.p
-    total = 0j
-    for c in T.all_coords():
-        if B.trace(B.mul(gamma, T.element(c))) == s:
-            total += chi.complex_value(c)
-    return total
-
-
-def character_decomposition_diagnostic(T, H, g, gamma, s):
-    """(enumerated count, (1/m) sum_{chi in H^perp} chi(g^-1) S_chi) as floats."""
-    cnt = coset_trace_count(T, H, g, gamma, s)
-    gi = T.coord_neg(g)
-    total = 0j
-    for chi in T.annihilator(H):
-        total += chi.complex_value(gi) * character_sum(T, chi, gamma, s)
-    return cnt, total / H.index

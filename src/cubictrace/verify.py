@@ -16,6 +16,7 @@ from . import counts as counts_mod
 from . import stats as stats_mod
 from .algebra import ZpCubicAlgebra, canonical_algebra, disc_cubic
 from .branch import (
+    DEFAULT_ENUM_CAP,
     BranchContext,
     brute_force_zero_oracle,
     certified_zero_set,
@@ -28,7 +29,6 @@ from .torus import (
     TorusGroup,
     coset_bound_report,
     coset_trace_count,
-    exceptional_group,
     nodal_concentration_check,
     nodal_coset_check,
     trace_fibers,
@@ -174,8 +174,7 @@ def check_nodal_coset(pset=(5, 7), seed=DEFAULT_SEED):
     # the split p=7 all-or-nothing example on ker(chi0)
     B = canonical_algebra(7, "split")
     T = TorusGroup(B)
-    exc = exceptional_group(T)
-    K = T.subgroup_from_coords(exc.kernel_coords)
+    K = T.subgroup_from_coords(T.exceptional.kernel_coords)
     from .torus import nodal_base_point
 
     hstar = T.coords(nodal_base_point(T, B.one, 3))
@@ -412,18 +411,13 @@ def check_census(pset=(5, 7, 11), seed=DEFAULT_SEED):
 def check_statistics(seed=DEFAULT_SEED):
     rng = random.Random(seed)
     records = []
-    closed = {
-        "split": lambda q: q * (q - 1) * (q - 2),
-        "mixed": lambda q: q * q * (q - 1),
-        "inert": lambda q: q**3 - q,
-    }
     for p in (5, 7, 11, 13):
         for name in TYPES:
             B = canonical_algebra(p, name)
             records.append(
                 _rec(
                     f"stats/generator-count/p={p}/{name}",
-                    closed[name](p),
+                    stats_mod.generator_count(B),
                     stats_mod.generator_count_exhaustive(B),
                 )
             )
@@ -573,24 +567,31 @@ class VerificationMatrixResult:
         }
 
 
+# the size of each randomized criterion; cubictrace verify-all takes its
+# option defaults from here, so run_all() and the CLI draw the same contexts
+DEFAULT_CAPS = {"enum": DEFAULT_ENUM_CAP, "branch_contexts": 500, "rankd_contexts": 200}
+
 CHECKS = {
     "1-count-table": lambda pset, seed, caps: check_count_table(),
     "2-factorization-census": lambda pset, seed, caps: check_factorization_census(),
     "3-coset-bound": lambda pset, seed, caps: check_coset_bound(pset, seed),
     "4-nodal-coset": lambda pset, seed, caps: check_nodal_coset(pset, seed),
     "5-branch-oracle": lambda pset, seed, caps: check_branch_oracle(
-        seed, per_type=caps.get("branch_contexts", 500), cap=caps.get("enum", 200_000)
+        seed, per_type=caps["branch_contexts"], cap=caps["enum"]
     ),
     "6-census": lambda pset, seed, caps: check_census(seed=seed),
     "7-statistics": lambda pset, seed, caps: check_statistics(seed),
-    "8-rankd": lambda pset, seed, caps: check_rankd(seed, contexts=caps.get("rankd_contexts", 200)),
+    "8-rankd": lambda pset, seed, caps: check_rankd(seed, contexts=caps["rankd_contexts"]),
     "9-wieferich": lambda pset, seed, caps: check_wieferich(),
 }
 
 
 def run_all(pset=(5, 7), seed=DEFAULT_SEED, caps=None, fault=None, only=None):
-    """Run the acceptance matrix; ``fault`` flips one named record (self-test)."""
-    caps = dict(caps or {})
+    """Run the acceptance matrix; ``fault`` flips one named record (self-test).
+
+    ``caps`` overrides entries of DEFAULT_CAPS.
+    """
+    caps = {**DEFAULT_CAPS, **(caps or {})}
     records = []
     for cid, fn in CHECKS.items():
         if only and cid not in only:

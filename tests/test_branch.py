@@ -1,31 +1,29 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubictrace import branch
-from cubictrace.algebra import PrecisionError, ZpCubicAlgebra, disc_cubic, vp
+from cubictrace.algebra import ZpCubicAlgebra, disc_cubic, vp
 from cubictrace.branch import (
     ALL_CLASSES,
     NO_CLASSES,
     REDUCED,
     BranchContext,
-    branch_series,
+    binomial_cutoff,
     brute_force_zero_oracle,
     certified_zero_set,
-    classify_class,
     cubic_degenerate,
     denominator_clear,
     digit_recursion,
     finite_jet,
     higher_order_transverse,
-    intersection_multiplicity,
     primitive_reduce,
     quadratic_singular,
     shifted_jet,
-    weierstrass_quadratic,
 )
 
 
@@ -53,6 +51,27 @@ def random_unit(rng, A):
         x = tuple(rng.randrange(A.modulus) for _ in range(3))
         if A.is_unit(x):
             return x
+
+
+def class_descriptors(ctx):
+    """The descriptors of the classes a mod P that survive mod p."""
+    return [d for d in certified_zero_set(ctx).descriptors if d.kind != "dead-mod-p"]
+
+
+def descriptor(ctx, a):
+    return next(d for d in certified_zero_set(ctx).descriptors if d.a == a)
+
+
+def weierstrass_degree(desc):
+    """The index of the last nonzero coefficient of the class's jet."""
+    return max(m for m, c in enumerate(desc.data["jet"]) if c)
+
+
+def series_value(ctx, a, t, N):
+    """F_{a,c}(t) mod p^N as the binomial sum of C'_m p^m binom(t, m), m < M(N)."""
+    p = ctx.p
+    cs = ctx.class_coefficients(a, binomial_cutoff(N, p))
+    return sum(C * p**m * comb(t, m) for m, C in enumerate(cs)) % p**N
 
 
 # -- clearing and reduction ----------------------------------------------------
@@ -91,12 +110,13 @@ def test_primitive_reduce_trichotomy():
 
 def test_branch_series_constant_term():
     ctx = singular_splits_context(k=3)
-    ser = branch_series(ctx, 0, 3)
     # t = 0: series value is T_a - c
-    assert ser.evaluate(0) == ctx.f_eval(0, 0, 3)
-    # worked example: T_0 = 0 and Tr(gamma*Omega) = 0, so b_0 = 0, b_1 = 0 mod 25
-    assert ser.coeffs[0] == 0
-    assert ser.coeffs[1] % 25 == 0
+    assert series_value(ctx, 0, 0, 3) == ctx.f_eval(0, 0, 3)
+    # worked example: T_0 = 0 and Tr(gamma*Omega) = 0, so b_0 = C'_0 = 0 mod 125
+    # and b_1 = 5 C'_1 = 0 mod 25
+    c0, c1 = ctx.class_coefficients(0, 2)
+    assert c0 % 125 == 0
+    assert 5 * c1 % 25 == 0
 
 
 def test_branch_series_matches_direct_evaluation():
@@ -113,14 +133,7 @@ def test_branch_series_matches_direct_evaluation():
             a = rng.randrange(ctx.P)
             N = rng.randrange(1, 6)
             t = rng.randrange(p ** (N + 1))
-            ser = branch_series(ctx, a, N)
-            assert ser.evaluate(t) == ctx.f_eval(a, t, N)
-
-
-def test_branch_series_precision_error():
-    ctx = singular_splits_context(k=3)
-    with pytest.raises(PrecisionError):
-        branch_series(ctx, 0, ctx.K + 1)
+            assert series_value(ctx, a, t, N) == ctx.f_eval(a, t, N)
 
 
 def test_translation_identity():
@@ -141,7 +154,7 @@ def test_translation_identity():
 
 def test_mod_p_classes_singular_splits():
     ctx = singular_splits_context()
-    assert ctx.mod_p_classes() == [0]
+    assert [d.a for d in class_descriptors(ctx)] == [0]
 
 
 def test_mod_p_classes_empty_fiber():
@@ -152,7 +165,7 @@ def test_mod_p_classes_empty_fiber():
     gamma = random_unit(rng, A)
     bad_c = (A.trace(gamma) + 1) % 5
     ctx = BranchContext(A, eta, gamma, c=bad_c, k=3)
-    assert ctx.mod_p_classes() == []
+    assert class_descriptors(ctx) == []
 
 
 def test_mod_p_classes_orbit_form():
@@ -172,7 +185,7 @@ def test_mod_p_classes_orbit_form():
         if red.trace(red.mul(gb, h)) == c % 7:
             orbit_count += 1
         h = red.mul(h, etab)
-    assert len(ctx.mod_p_classes()) == orbit_count
+    assert len(class_descriptors(ctx)) == orbit_count
 
 
 def test_classify_scalar_tangent():
@@ -189,16 +202,17 @@ def test_classify_scalar_tangent():
     ctx = BranchContext(A, eta, gamma, c=A.trace(gamma), k=4)
     s = ctx.s0
     if s != 0:
-        rec = classify_class(ctx, 0)
-        assert rec.d_a == lam * s % p
+        assert descriptor(ctx, 0).data["d_a"] == lam * s % p
 
 
 def test_classify_singular_splits():
     ctx = singular_splits_context()
-    rec = classify_class(ctx, 0)
-    assert rec.d_a == 0 and rec.delta_a == 2
-    assert rec.s_shift == 2 and rec.jet == (0, 0, 2)
-    assert rec.obstruction == 0 and rec.tau is None
+    d = descriptor(ctx, 0)
+    assert d.data["d_a"] == 0 and d.data["delta_a"] == 2
+    assert d.data["shift"] == 2 and d.data["jet"] == (0, 0, 2)
+    # zero lower obstruction: the singular class is not cut off mod p^2, and
+    # it has no single transverse branch
+    assert d.kind == "singular-simple-root" and "tau" not in d.data
 
 
 def test_classify_transverse_tau_matches_certified():
@@ -208,12 +222,18 @@ def test_classify_transverse_tau_matches_certified():
     gamma = random_unit(rng, A)
     ctx = BranchContext(A, eta, gamma, c=0, k=4)
     res = certified_zero_set(ctx)
+    checked = 0
     for d in res.descriptors:
         if d.kind != "transverse-simple":
             continue
-        rec = classify_class(ctx, d.a)
-        assert rec.tau == d.data["tau"]
-        assert ctx.f_eval(d.a, rec.tau, ctx.k0) == 0
+        tau = d.data["tau"]
+        # first digit rho = -((T_a - c)/p) / d_a mod p, then Hensel's unique lift
+        t_diff = ctx.class_coefficients(d.a, 1)[0]
+        assert tau % 7 == -(t_diff % 49 // 7) * pow(d.data["d_a"], -1, 7) % 7
+        assert ctx.f_eval(d.a, tau, ctx.k0) == 0
+        assert list(d.residues) == digit_recursion(ctx, d.a) == [tau % 7 ** (ctx.k0 - 1)]
+        checked += 1
+    assert checked > 0
 
 
 def test_classify_singular_nonzero_obstruction_dies():
@@ -225,10 +245,14 @@ def test_classify_singular_nonzero_obstruction_dies():
         eta = random_unit(rng, A)
         gamma = random_unit(rng, A)
         ctx = BranchContext(A, eta, gamma, c=0, k=4)
-        for a in ctx.mod_p_classes():
-            rec = classify_class(ctx, a)
-            if rec.d_a == 0 and rec.obstruction:
-                assert digit_recursion(ctx, a, 2) == []
+        for d in class_descriptors(ctx):
+            if d.data["d_a"]:
+                continue
+            obstruction = ctx.class_coefficients(d.a, 1)[0] % 25 // 5
+            assert (d.kind == "singular-obstructed") == (obstruction != 0)
+            if obstruction:
+                assert d.residues == ()
+                assert digit_recursion(ctx, d.a, 2) == []
                 found += 1
 
 
@@ -270,7 +294,12 @@ def test_versality_exhaustive_p5():
 
 def test_weierstrass_quadratic():
     ctx = versal_context(0, 1, 2, k=5)
-    W = weierstrass_quadratic(ctx, 0, 0)
+    d = descriptor(ctx, 0)
+    assert d.kind == "quadratic-weierstrass-disk"
+    assert quadratic_singular(ctx, 0).alternative == "DoubleRoot"
+    (disk,) = d.data["branches"]
+    assert disk["root"] == 0 and disk["degree"] == 2
+    W = disk["factor"]
     # monic quadratic with lower coefficients in pZ
     assert W[2] == 1 and W[0] % 5 == 0 and W[1] % 5 == 0
     # residue-disk congruence solutions match the brute-force zero set
@@ -284,8 +313,6 @@ def test_weierstrass_quadratic():
         if _poly_eval(W, t, p ** (k0 - 2)) == 0
     ]
     assert sorted(t % p ** (k0 - 1) for t in disk) == want
-    with pytest.raises(ValueError):
-        weierstrass_quadratic(versal_context(0, 0, 2), 0, 0)
 
 
 def double_root_versal(rng, p, k):
@@ -438,7 +465,7 @@ def test_finite_jet_first_order():
     eta = random_unit(rng, A)
     gamma = random_unit(rng, A)
     ctx = BranchContext(A, eta, gamma, c=0, k=4)
-    for a in ctx.mod_p_classes():
+    for a in [d.a for d in class_descriptors(ctx)]:
         jet = finite_jet(ctx, a, 1)
         cs = ctx.class_coefficients(a, 2)
         assert jet == ((cs[0] // 7) % 7, cs[1] % 7)
@@ -459,10 +486,9 @@ def test_finite_jet_roots_are_surviving_digits():
         eta = random_unit(rng, A)
         gamma = random_unit(rng, A)
         ctx = BranchContext(A, eta, gamma, c=rng.randrange(7), k=5)
-        for a in ctx.mod_p_classes():
-            rec = classify_class(ctx, a)
-            r = rec.s_shift
-            if r is None or r >= ctx.k0:
+        for d in class_descriptors(ctx):
+            a, r = d.a, d.data["shift"]
+            if r >= ctx.k0:
                 continue
             jet = finite_jet(ctx, a, r)
             surviving = {
@@ -502,11 +528,10 @@ def test_digit_recursion_transverse_stability():
     eta = random_unit(rng, A)
     gamma = random_unit(rng, A)
     ctx = BranchContext(A, eta, gamma, c=0, k=5)
-    for a in ctx.mod_p_classes():
-        rec = classify_class(ctx, a)
-        if rec.d_a != 0:
+    for d in class_descriptors(ctx):
+        if d.data["d_a"] != 0:
             for k in (2, 3, 4, 5):
-                assert len(digit_recursion(ctx, a, k)) == 1
+                assert len(digit_recursion(ctx, d.a, k)) == 1
 
 
 def test_digit_recursion_singular_splits():
@@ -525,10 +550,10 @@ def test_all_transverse_stability():
         eta = random_unit(rng, A)
         gamma = random_unit(rng, A)
         ctx = BranchContext(A, eta, gamma, c=0, k=5)
-        classes = ctx.mod_p_classes()
+        classes = class_descriptors(ctx)
         if not classes:
             continue
-        if any(classify_class(ctx, a).d_a == 0 for a in classes):
+        if any(d.data["d_a"] == 0 for d in classes):
             continue
         sizes = set()
         for k in (2, 3, 4, 5):
@@ -636,10 +661,9 @@ def test_per_class_zero_bound_homogeneous():
             continue
         gamma = random_unit(rng, A)
         ctx = BranchContext(A, eta, gamma, c=0, k=5)
-        classes = ctx.mod_p_classes()
-        for a in classes:
-            mult = intersection_multiplicity(ctx, a)
-            assert mult.weierstrass_degree <= 2
+        classes = class_descriptors(ctx)
+        for d in classes:
+            assert weierstrass_degree(d) <= 2
         res = certified_zero_set(ctx)
         total_mult = 0
         for d in res.descriptors:
@@ -677,32 +701,33 @@ def test_transverse_valuation_law():
 
 
 def test_intersection_multiplicity():
-    ctx = singular_splits_context(k=4)
-    m = intersection_multiplicity(ctx, 0)
-    assert (m.s_shift, m.weierstrass_degree) == (2, 2)
+    # (p-power shift, Weierstrass degree) of each class, from its descriptor
+    d = descriptor(singular_splits_context(k=4), 0)
+    assert (d.data["shift"], weierstrass_degree(d)) == (2, 2)
     rng = random.Random(24)
     A = random_zp_algebra(rng, 7, 4)
     eta = random_unit(rng, A)
     gamma = random_unit(rng, A)
     ctx2 = BranchContext(A, eta, gamma, c=0, k=4)
-    for a in ctx2.mod_p_classes():
-        if classify_class(ctx2, a).d_a != 0:
-            assert intersection_multiplicity(ctx2, a).weierstrass_degree == 1
+    for d in class_descriptors(ctx2):
+        if d.data["d_a"] != 0:
+            assert weierstrass_degree(d) == 1
     # cubic degenerate: degree 3
-    ctx3 = build_cubic_degenerate(5, 6, (1, 1, 0), 2, 1, 1, 1)
-    m3 = intersection_multiplicity(ctx3, 0)
-    assert (m3.s_shift, m3.weierstrass_degree) == (3, 3)
+    d3 = descriptor(build_cubic_degenerate(5, 6, (1, 1, 0), 2, 1, 1, 1), 0)
+    assert (d3.data["shift"], weierstrass_degree(d3)) == (3, 3)
 
 
 def test_intersection_multiplicity_indeterminate():
-    # identically-zero series: indeterminate at every finite precision
+    # identically-zero series: no jet at any finite precision, every t survives
     A = split5(5)
     W = A.from_split_coords((0, 1, 2))
     eta = A.add(A.one, A.scalar_mul(5, W))
     z0, _, _ = A.trace_dual_basis(W)
     ctx = BranchContext(A, eta, A.scalar_mul(2, z0), c=2, k=4)
-    with pytest.raises(PrecisionError):
-        intersection_multiplicity(ctx, 0)
+    d = descriptor(ctx, 0)
+    assert d.kind == "class-all-survive" and "jet" not in d.data
+    assert d.residues == tuple(range(5**3))
+    assert certified_zero_set(ctx).classes == brute_force_zero_oracle(ctx)
 
 
 def test_higher_order_transverse():
@@ -734,10 +759,9 @@ def test_higher_order_transverse_r1_is_transverse():
     eta = random_unit(rng, A)
     gamma = random_unit(rng, A)
     ctx = BranchContext(A, eta, gamma, c=0, k=4)
-    for a in ctx.mod_p_classes():
-        if classify_class(ctx, a).d_a == 0:
+    for desc in class_descriptors(ctx):
+        if desc.data["d_a"] == 0:
             continue
-        tau, _, _ = higher_order_transverse(ctx, a, 1)
-        res = certified_zero_set(ctx)
-        desc = next(d for d in res.descriptors if d.a == a and d.kind == "transverse-simple")
+        tau, _, _ = higher_order_transverse(ctx, desc.a, 1)
+        assert desc.kind == "transverse-simple"
         assert desc.data["tau"] % 7 ** (ctx.k0 - 1) == tau % 7 ** (ctx.k0 - 1)

@@ -157,8 +157,12 @@ BRANCH_EXAMPLE = ["--eta", "1|6|11", "--gamma", "1|-2|1", "--k", "3"]
         (["wieferich", "--g=-1,-1,0", "--eta", "0,1,0", "--pmin", "5", "--pmax", "3"], "pmin"),
         (["branch", "--algebra", "p=5;k=1;split=0,1,2", *BRANCH_EXAMPLE], "'k'"),
         (["branch", "--algebra", "p=5;q=7;split=0,1,2", *BRANCH_EXAMPLE], "'q'"),
+        (["branch", "--algebra", "p=5;f=1,1,1;split=0,1,2", *BRANCH_EXAMPLE], "'f' and 'split'"),
     ],
-    ids=["nodal-p", "wieferich-range", "branch-spec-k", "branch-spec-unknown-field"],
+    ids=[
+        "nodal-p", "wieferich-range", "branch-spec-k", "branch-spec-unknown-field",
+        "branch-spec-f-and-split",
+    ],
 )
 def test_out_of_range_input_exits_2_naming_the_parameter(capsys, argv, named):
     assert main(argv) == 2

@@ -4,8 +4,11 @@ from hypothesis import strategies as st
 from conftest import canonical_algebras
 
 from cubictrace.counts import (
+    DEFAULT_PRIME_CAP,
     CountQuery,
+    actual_count,
     brute_force_count,
+    count,
     elliptic_count,
     factorization_census,
     is_smooth_fiber,
@@ -13,6 +16,7 @@ from cubictrace.counts import (
     nodal_parametrization,
     quadratic_character,
     smooth_formula_count,
+    unit_histogram,
 )
 
 
@@ -201,6 +205,24 @@ def test_prime_cap():
     alg = canonical_algebras(5)["split"]
     with pytest.raises(ValueError):
         brute_force_count(CountQuery(alg, 0, 1), cap=3)
+
+
+def test_actual_count_reads_the_histogram_above_the_prime_cap():
+    # the prime cap bounds only brute_force_count: above it actual_count still
+    # reads the enumeration, which agrees with the closed formulas, smooth and nodal
+    p = 103
+    assert p > DEFAULT_PRIME_CAP
+    for B in canonical_algebras(p).values():
+        hist = unit_histogram(B)
+        for n in (1, 2, p - 1):
+            for s in range(p):
+                got = actual_count(B, s, n)
+                assert got == hist[s * p + n] == count(CountQuery(B, s, n)).value
+        assert not is_smooth_fiber(p, 3, 1) and actual_count(B, 3, 1) == nodal_count(B, 3).value
+        with pytest.raises(ValueError):
+            brute_force_count(CountQuery(B, 0, 1))
+        with pytest.raises(ValueError):
+            actual_count(B, 0, p)
 
 
 def test_quadratic_character_table_is_shared_and_immutable():

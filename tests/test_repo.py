@@ -49,23 +49,61 @@ def _top_level_names(tree):
             yield from ((t.id, node.lineno) for t in node.targets if isinstance(t, ast.Name))
 
 
-def test_every_top_level_name_is_referenced():
-    # a name that occurs only at its own definition is dead code
-    corpus = "\n".join(
-        path.read_text()
-        for top in ("src", "tests", "perfbench")
-        for path in sorted((ROOT / top).rglob("*.py"))
-    )
-    # a name is one \w+ run, so one tally of every word counts its \b-bounded uses
-    words = Counter(re.findall(r"\w+", corpus))
-    unreferenced = []
+def _package_names():
+    """(module file name, name, lineno) of every non-dunder package definition."""
     for path in sorted(PACKAGE.glob("*.py")):
         for name, lineno in _top_level_names(ast.parse(path.read_text())):
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            if words[name] == 1:
-                unreferenced.append(f"{path.name}:{lineno} {name}")
+            if not (name.startswith("__") and name.endswith("__")):
+                yield path.name, name, lineno
+
+
+def _words(*tops, skip=()):
+    """Tally of every \\w+ run in the .py files under the given top directories.
+
+    A name is one \\w+ run, so the tally counts its \\b-bounded uses.
+    """
+    corpus = "\n".join(
+        path.read_text()
+        for top in tops
+        for path in sorted((ROOT / top).rglob("*.py"))
+        if path.name not in skip
+    )
+    return Counter(re.findall(r"\w+", corpus))
+
+
+def test_every_top_level_name_is_referenced():
+    # a name that occurs only at its own definition is dead code
+    words = _words("src", "tests", "perfbench")
+    unreferenced = [
+        f"{module}:{lineno} {name}" for module, name, lineno in _package_names() if words[name] == 1
+    ]
     assert unreferenced == []
+
+
+# Package definitions that only tests reach, each with the ROADMAP item that
+# will give it a caller: 10(a) makes it a second route in a verify-all
+# criterion, 16 prints reproducers with it.  The list may only shrink.
+TEST_ONLY = {
+    "cubic_degenerate": "10(a)",
+    "finite_jet": "10(a)",
+    "shifted_jet": "10(a)",
+    "higher_order_transverse": "10(a)",
+    "orbit_preimage_count": "10(a)",
+    "homogeneous_singular_count": "10(a)",
+    "average_singular": "10(a)",
+    "nodal_parametrization": "10(a)",
+    "nonemptiness_check": "10(a)",
+    "format_element": "16",
+}
+
+
+def test_test_only_names_are_the_allowlist():
+    # a name that src/ and perfbench/ use only at its definition, but tests
+    # call, restates the product or waits for a caller; none may be added
+    product = _words("src", "perfbench")
+    tests = _words("tests", skip=(Path(__file__).name,))
+    found = {name for _, name, _ in _package_names() if product[name] == 1 and tests[name]}
+    assert found == set(TEST_ONLY)
 
 
 def test_package_does_not_import_numpy():

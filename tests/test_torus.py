@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -11,10 +12,8 @@ from cubictrace.torus import (
     NodalCosetReport,
     TorusGroup,
     all_coset_bounds,
-    character_decomposition_diagnostic,
     coset_bound_report,
     coset_trace_count,
-    exceptional_group,
     exceptional_size,
     nodal_base_point,
     nodal_concentration_check,
@@ -271,12 +270,12 @@ def test_exceptional_size_table():
 def test_exceptional_group_structure():
     for p, name in [(7, "split"), (5, "mixed"), (7, "inert")]:
         T = torus(p, name)
-        exc = exceptional_group(T)
-        assert exc is exceptional_group(T)  # derived once per torus
+        exc = T.exceptional
+        assert exc is T.exceptional  # derived once per torus
         assert exc.size == 3
         assert exc.generator.order == 3
         assert 3 * len(exc.kernel_coords) == T.order
-    exc = exceptional_group(torus(5, "inert"))
+    exc = torus(5, "inert").exceptional
     assert exc.size == 1 and exc.generator is None
 
 
@@ -310,8 +309,7 @@ def test_split7_nodal_all_or_nothing():
     # Example: ker(chi0) cosets carry (N^nod, 0, 0) with N^nod = 4, the
     # nonzero count sitting on the coset of h_* = (s/3) gamma^{-1}
     T = torus(7, "split")
-    exc = exceptional_group(T)
-    K = T.subgroup_from_coords(exc.kernel_coords)
+    K = T.subgroup_from_coords(T.exceptional.kernel_coords)
     gamma, s = T.B.one, 3
     per_coset = {g: coset_trace_count(T, K, g, gamma, s) for g in K.coset_reps()}
     assert sorted(per_coset.values(), reverse=True) == [4, 0, 0]
@@ -348,7 +346,7 @@ def _nodal_coset_reference(T, H, g, gamma, s):
     |H cap K| by set intersection, and u by testing chi0 and chi0^2 on H."""
     B = T.B
     q = B.p
-    exc = exceptional_group(T)
+    exc = T.exceptional
     kernel = exc.kernel_coords
     neg_star = T.coord_neg(T.coords(nodal_base_point(T, gamma, s)))
     n_nod = actual_count(B, s, B.norm(gamma))
@@ -468,18 +466,25 @@ def test_trace_fiber_cache_follows_gamma():
             verify_coset_bound(T, full, (0, 0), gamma, s)
 
 
-def test_character_decomposition_diagnostic():
-    rng = random.Random(5)
-    for p, name in [(5, "split"), (7, "mixed"), (7, "inert")]:
-        T = torus(p, name)
-        B = T.B
-        units = [x for x in B.elements() if B.is_unit(x)]
-        for H in T.subgroups()[:5]:
-            g = rng.choice(H.coset_reps())
-            gamma = rng.choice(units)
-            s = rng.randrange(p)
-            cnt, approx = character_decomposition_diagnostic(T, H, g, gamma, s)
-            assert abs(approx - cnt) < 1e-6
+def test_annihilator_orthogonality():
+    # sum_{chi in H^perp} chi(x) is m = |H^perp| for x in H and 0 otherwise,
+    # the relation behind m N_gH = sum_{chi in H^perp} chi(g)^-1 S_chi.  On
+    # exponents: every chi in H^perp sends x in H to 0, and its values at any
+    # other x spread evenly over a nontrivial subgroup of Z/d1
+    for p in (5, 7):
+        for name in ("split", "mixed", "inert"):
+            T = torus(p, name)
+            for H in T.subgroups():
+                perp = T.annihilator(H)
+                for x in T.all_coords():
+                    tally = Counter(chi.value_exp(x) for chi in perp)
+                    if x in H:
+                        assert tally == {0: H.index}
+                        continue
+                    size = len(tally)
+                    assert size > 1 and T.d1 % size == 0 and H.index % size == 0
+                    step = T.d1 // size
+                    assert tally == {k * step: H.index // size for k in range(size)}
 
 
 def test_quotient_distribution_form():
