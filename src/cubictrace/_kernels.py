@@ -1,4 +1,4 @@
-"""Enumeration kernels: the two hot loops, in pure Python with exact integers.
+"""Enumeration kernels, in pure Python with exact integers.
 
 * ``trace_norm_histogram`` -- the (trace, norm) tally of the units of a
   cubic algebra F_p[T]/(f).  It enumerates only the trace-0 and trace-1
@@ -7,12 +7,11 @@
   It inlines the arithmetic of ``algebra.ZpCubicAlgebra`` at k = 1; the
   tests compare it against a tally of the algebra's own trace and norm over
   all p^3 elements.
-* ``zero_class_sweep`` -- one pass over the branch classes n = 0..total-1,
-  collecting the n with u_n = Tr(gamma * eta^n) = c (mod p^k).  It knows no
-  algebra: it runs the linear recurrence that the characteristic polynomial
-  of eta imposes on u_n (Cayley-Hamilton), from the first d traces, for an
-  algebra of any rank d.  The tests compare it against the algebra's own
-  trace, multiplication and powers.
+* ``zero_class_sweep`` -- the n in 0..total-1 with u_n = Tr(gamma * eta^n)
+  = c (mod p^k), by the trace recurrence of eta's characteristic polynomial
+  (Cayley-Hamilton), for any rank d.  No product code calls it: it is the
+  tests' full-sweep reference for ``branch.brute_force_zero_oracle``, and
+  the benchmark's ``kernels.sweep`` span wraps it.
 """
 
 from collections import deque

@@ -466,20 +466,6 @@ class RankDSplitAlgebra:
     def is_unit(self, x):
         return all(a % self.p for a in x)
 
-    def charpoly(self, x):
-        """prod (T - x_i), the characteristic polynomial of x, as (c0, ..., c_{d-1}).
-
-        Its coefficients are the signed elementary symmetric functions of the
-        coordinates, expanded one linear factor at a time, with no division.
-        """
-        m = self.modulus
-        poly = [1]  # constant first, monic
-        for a in x:
-            poly = [(-a * poly[0]) % m] + [
-                (poly[i - 1] - a * poly[i]) % m for i in range(1, len(poly))
-            ] + [1]
-        return tuple(poly[:-1])
-
     def inv(self, x):
         m = self.modulus
         return tuple(_invmod(a, m) for a in x)

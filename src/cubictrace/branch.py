@@ -19,14 +19,14 @@ points of the disk.
 
 Every descriptor carries the explicit set of surviving branch parameters
 t mod p^(k0-1), so the expansion of the output can be compared verbatim
-with the brute-force congruence sweep ``brute_force_zero_oracle``.  That
-oracle equality is the master correctness property; the descriptors are
+with the brute-force oracle ``brute_force_zero_oracle``.  That oracle
+equality is the master correctness property; the descriptors are
 additionally tagged with which normal form produced them.  The oracle
-visits every n: it runs the linear recurrence that the characteristic
-polynomial of eta imposes on Tr(gamma * eta^n) (Cayley-Hamilton), from the
-first d traces, for an algebra of any rank d.  It shares nothing with the
-cascade -- no log tangent, no primitive reduction, no Hensel lifting -- so
-the comparison checks two independent routes.
+lifts n digit by digit from the definition alone, keeping at level j the
+n mod P*p^(j-1) with Tr(gamma * eta^n) = c mod p^j.  It shares nothing
+with the cascade -- no log tangent, no primitive reduction, no class
+points, no Hensel lifting -- so the comparison checks two independent
+routes.
 
 Branch coordinates: n = a + P*t with a in {0..P-1} fixed once; residue
 classes at precision p^k live in Z/(P*p^(k-1)).
@@ -35,7 +35,6 @@ classes at precision p^k live in Z/(P*p^(k-1)).
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import _kernels
 from .algebra import PrecisionError, _invmod, vp, vp_fraction
 
 DEFAULT_ENUM_CAP = 10**6
@@ -631,25 +630,32 @@ def certified_zero_set(ctx):
 
 
 def brute_force_zero_oracle(ctx, cap=DEFAULT_ENUM_CAP):
-    """All n mod P*p^(k_work-1) with Tr(gamma eta^n) = c mod p^k_work, by sweep.
+    """All n mod P*p^(k_work-1) with Tr(gamma eta^n) = c mod p^k_work, by digit lift.
 
-    The sweep visits every n, running the trace recurrence of eta's
-    characteristic polynomial from the first d traces; the same code serves
-    every algebra, of any rank.  It works on the integral pair (gamma, c)
-    itself, not the primitive reduced one, and raises ValueError when the
-    P*p^(k_work-1) classes exceed ``cap``.
+    eta^P = 1 mod p, so u_n = Tr(gamma eta^n) mod p^j depends on n mod
+    P*p^(j-1) only.  Level j keeps the n mod P*p^(j-1) with u_n = c mod p^j,
+    each one digit above a survivor of level j-1 and carrying its point
+    gamma*eta^n.  It works on the integral pair (gamma, c), for an algebra
+    of any rank, and raises ValueError when a level has over ``cap`` survivors.
     """
-    p, k = ctx.p, ctx.k_work
-    total = ctx.P * p ** (k - 1)
-    if total > cap:
-        raise ValueError(f"sweep size {total} exceeds enumeration cap")
-    A = ctx.A
-    traces = []
-    y = ctx.gamma_elt
-    for _ in range(A.rank):
-        traces.append(A.trace(y))
-        y = A.mul(y, ctx.eta_elt)
-    return _kernels.zero_class_sweep(p, k, total, traces, A.charpoly(ctx.eta_elt), ctx.c_int)
+    A, p, c = ctx.A, ctx.p, ctx.c_int
+    mul, trace = A.mul, A.trace
+    level = [(0, ctx.gamma_elt)]
+    # level j tries n + w*width for w < digits, stepping the point by eta^width
+    width, digits, step = 1, ctx.P, ctx.eta_elt
+    for j in range(1, ctx.k_work + 1):
+        q = p**j
+        survivors = []
+        for n, y in level:
+            for w in range(digits):
+                if (trace(y) - c) % q == 0:
+                    survivors.append((n + w * width, y))
+                y = mul(y, step)
+        if len(survivors) > cap:
+            raise ValueError(f"digit lift exceeds the cap of {cap} survivors at level {j}")
+        level = survivors
+        width, step, digits = width * digits, A.pow(step, digits), p
+    return sorted(n for n, _ in level)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Subcommands: count, nodal, coset, census, branch, jets, cubeclass, rankd,
 wieferich, verify-all.  All numeric JSON output is exact (integers or
-{"num", "den"} pairs); floats appear only in explicitly labelled
-diagnostic fields.  Exit codes: 0 ok, 1 check failure, 2 usage, 3 internal.
+{"num", "den"} pairs); ``jsonable`` refuses a float.  Exit codes: 0 ok,
+1 check failure, 2 usage, 3 internal.
 """
 
 import argparse
@@ -127,7 +127,7 @@ def jsonable(obj):
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, float):
-        return obj  # diagnostics only
+        raise TypeError(f"float {obj!r} in JSON output: every number must be exact")
     return str(obj)
 
 
@@ -446,7 +446,11 @@ def build_parser():
         help="largest p that `count` enumerates by brute force (--method both or brute); "
         "nothing else reads it",
     )
-    parser.add_argument("--cap-enum", type=int, default=DEFAULT_ENUM_CAP)
+    parser.add_argument(
+        "--cap-enum", type=int, default=DEFAULT_ENUM_CAP,
+        help="most classes P*p^(k-1) of a drawn criterion-5 context, and most survivors "
+        "per level of the oracle's digit lift",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("count", help="prescribed trace/norm count")
@@ -543,7 +547,3 @@ def main(argv=None):
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from cubictrace import verify
-from cubictrace.cli import jsonable
+from cubictrace.cli import jsonable, main
 
 CAPS = {"branch_contexts": 500, "rankd_contexts": 200, "enum": 200_000}
 
@@ -70,3 +70,15 @@ def test_nodal_records_are_byte_identical():
     blob = json.dumps(jsonable(res.records), sort_keys=True, separators=(",", ":"))
     assert len(res.records) == 15
     assert hashlib.sha256(blob.encode()).hexdigest() == NODAL_DIGEST
+
+
+# sha256 of the whole stdout of ``cubictrace --json verify-all --pset 5,7``,
+# the default run: every criterion at the default seed and caps.  A change to
+# any of its records changes the digest.
+DEFAULT_RUN_DIGEST = "8c690f578139ff4043eefc8f0ed63bd925df3265176d385ef10bdd9a7e1c7702"
+
+
+def test_default_run_is_byte_identical(capsys):
+    assert main(["--json", "verify-all", "--pset", "5,7"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_RUN_DIGEST

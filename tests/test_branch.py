@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubictrace import branch
-from cubictrace.algebra import ZpCubicAlgebra, disc_cubic, vp
+from cubictrace.algebra import RankDSplitAlgebra, ZpCubicAlgebra, canonical_algebra, disc_cubic, vp
 from cubictrace.branch import (
     ALL_CLASSES,
     NO_CLASSES,
@@ -600,12 +601,56 @@ def test_inflation_rule():
 
 
 def test_oracle_cap_enforced():
+    # gamma = 0 mod p^k: every one of the P*p^(k-1) classes survives every level
     A = split5(4)
     eta = A.from_split_coords((1, 6, 11))
-    ctx = BranchContext(A, eta, (1, 0, 0), c=0, k=4)
-    with pytest.raises(ValueError):
+    ctx = BranchContext(A, eta, (0, 0, 0), c=0, k=4)
+    with pytest.raises(ValueError, match="cap of 10 survivors"):
         brute_force_zero_oracle(ctx, cap=10)
-    assert brute_force_zero_oracle(ctx, cap=10**6) is not None
+    assert brute_force_zero_oracle(ctx, cap=10**6) == list(range(ctx.P * 5**3))
+
+
+def test_oracle_reaches_deep_contexts():
+    # P*p^(k-1) is up to 993*31^7 here, far past any sweep; the digit lift
+    # carries only the survivors of each level
+    rng = random.Random(31)
+    start = time.process_time()
+    for p, k in ((11, 20), (31, 8), (7, 30)):
+        A = canonical_algebra(p, "inert").at_precision(k)
+        eta = A.pow(random_unit(rng, A), p - 1)  # a period dividing p^2 + p + 1
+        gamma = random_unit(rng, A)
+        ctx = BranchContext(A, eta, gamma, c=A.trace(gamma), k=k)  # n = 0 is a zero
+        zeros = brute_force_zero_oracle(ctx)
+        assert zeros and zeros == certified_zero_set(ctx).classes
+    assert time.process_time() - start < 1.0
+
+
+def test_oracle_reads_nothing_of_the_cascade(monkeypatch):
+    # the oracle sees gamma, eta, c, P and k_work: no class point, no digit
+    # recursion, no eta^P, log tangent or primitive reduction of the context
+    rng = random.Random(32)
+    A = random_zp_algebra(rng, 7, 6)
+    eta = random_unit(rng, A)
+    gamma = tuple(7 * g for g in random_unit(rng, A))
+    contexts = [
+        BranchContext(A, eta, gamma, c=A.trace(gamma), k=4),
+        singular_splits_context(k=4),
+        BranchContext(
+            RankDSplitAlgebra(7, 4, 4), (1, 2, 3, 4), (1, 3, 5, 6), c=Fraction(15, 7), k=3,
+            gamma_den=1,
+        ),
+    ]
+    want = [certified_zero_set(ctx).classes for ctx in contexts]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle read the cascade")
+
+    monkeypatch.setattr(BranchContext, "class_point", refuse)
+    monkeypatch.setattr(branch, "digit_recursion", refuse)
+    for ctx, classes in zip(contexts, want):
+        for name in ("etaP", "U", "omega", "reduction", "gamma0_elt", "c0", "k0"):
+            delattr(ctx, name)
+        assert classes and brute_force_zero_oracle(ctx) == classes
 
 
 def test_oracle_periodicity():

@@ -1,9 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from cubictrace import verify
-from cubictrace.cli import main, parse_algebra_spec, parse_element
+from cubictrace.cli import jsonable, main, parse_algebra_spec, parse_element
 
 
 def run_cli(capsys, *argv):
@@ -19,6 +20,14 @@ def test_parse_element():
     assert parse_element("1,2,3/p") == ((1, 2, 3), 1, False)
     with pytest.raises(ValueError):
         parse_element("1,2")
+
+
+def test_jsonable_refuses_floats():
+    # every number a command prints is an int or a {"num", "den"} pair
+    assert jsonable({"x": [1, Fraction(1, 2)]}) == {"x": [1, {"num": 1, "den": 2}]}
+    for value in (0.5, [1, 0.5], {"x": (2.0,)}):
+        with pytest.raises(TypeError, match="float"):
+            jsonable(value)
 
 
 def test_element_format_roundtrip():

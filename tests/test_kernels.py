@@ -1,11 +1,13 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from conftest import canonical_algebras
 
 from cubictrace import _kernels
 from cubictrace.algebra import RankDSplitAlgebra, ZpCubicAlgebra, disc_cubic
+from cubictrace.branch import BranchContext, brute_force_zero_oracle
 
 
 def random_cubic(rng, p):
@@ -15,10 +17,36 @@ def random_cubic(rng, p):
             return f
 
 
+def random_unit(rng, A):
+    while True:
+        x = tuple(rng.randrange(A.modulus) for _ in range(A.rank))
+        if A.is_unit(x):
+            return x
+
+
 def sweep_inputs(A, eta, gamma):
-    """The first d traces Tr(gamma eta^i) and the characteristic polynomial of eta."""
+    """The first d traces Tr(gamma eta^i) and the characteristic polynomial of eta.
+
+    A cubic algebra has its own charpoly.  In the split algebra of rank d it
+    is prod (T - eta_i), expanded one linear factor at a time, constant first.
+    """
     traces = [A.trace(A.mul(gamma, A.pow(eta, i))) for i in range(A.rank)]
-    return traces, A.charpoly(eta)
+    if not isinstance(A, RankDSplitAlgebra):
+        return traces, A.charpoly(eta)
+    m = A.modulus
+    poly = [1]
+    for a in eta:
+        poly = [(-a * poly[0]) % m] + [
+            (poly[i - 1] - a * poly[i]) % m for i in range(1, len(poly))
+        ] + [1]
+    return traces, tuple(poly[:-1])
+
+
+def full_sweep(ctx):
+    """The zero classes of a branch context by a sweep of all P*p^(k_work-1) classes."""
+    p, k = ctx.p, ctx.k_work
+    traces, coeffs = sweep_inputs(ctx.A, ctx.eta_elt, ctx.gamma_elt)
+    return _kernels.zero_class_sweep(p, k, ctx.P * p ** (k - 1), traces, coeffs, ctx.c_int)
 
 
 def test_histogram_kernel_matches_algebra_tally():
@@ -120,3 +148,61 @@ def test_sweep_kernel_needs_one_coefficient_per_trace():
     for traces, coeffs in [((), ()), ((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2))]:
         with pytest.raises(ValueError, match="starting traces"):
             _kernels.zero_class_sweep(5, 2, 10, traces, coeffs, 0)
+
+
+def test_split_charpoly_annihilates():
+    # Cayley-Hamilton for the rank-d charpoly that the sweep reference runs on
+    rng = random.Random(1)
+    for d in (2, 3, 4):
+        A = RankDSplitAlgebra(7, 3, d)
+        m = A.modulus
+        for _ in range(20):
+            x = tuple(rng.randrange(m) for _ in range(d))
+            coeffs = sweep_inputs(A, x, A.one)[1]
+            assert len(coeffs) == d
+            assert coeffs[0] == (-1) ** d * A.norm(x) % m
+            assert coeffs[-1] == (-A.trace(x)) % m
+            # x^d + c_{d-1} x^{d-1} + ... + c_0 = 0
+            val = A.pow(x, d)
+            xi = A.one
+            for ci in coeffs:
+                val = A.add(val, A.scalar_mul(ci, xi))
+                xi = A.mul(xi, x)
+            assert val == (0,) * d
+            unreduced = tuple(v + rng.choice((-2, -1, 3)) * m for v in x)
+            assert sweep_inputs(A, unreduced, A.one)[1] == coeffs
+
+
+def test_digit_lift_oracle_equals_full_sweep():
+    # the oracle lifts n digit by digit from the survivors; the sweep visits every class
+    rng = random.Random(31)
+    algebras = [B.at_precision(7) for p in (5, 7) for B in canonical_algebras(p).values()]
+    algebras += [RankDSplitAlgebra(p, 7, d) for p in (5, 7) for d in (2, 4)]
+    compared = nonempty = 0
+    for A in algebras:
+        p, m = A.p, A.modulus
+        # plain, gamma divisible by p, gamma_den > 0, fractional c with integral gamma, k = 1
+        for style in range(5):
+            for _ in range(4):
+                eta = random_unit(rng, A)
+                gamma = tuple(rng.randrange(m) for _ in range(A.rank))
+                if style == 1:
+                    gamma = tuple(g * p ** rng.randrange(1, 3) for g in gamma)
+                # a value the trace attains, so that most zero sets are nonempty
+                c = A.trace(A.mul(gamma, A.pow(eta, rng.randrange(p))))
+                k, gden = rng.randrange(2, 6), 0
+                if style == 2:
+                    gden = rng.randrange(1, 3)
+                    c = Fraction(c, p**gden)
+                elif style == 3:
+                    c = Fraction(rng.randrange(1, p * p), p ** rng.randrange(1, 3))
+                elif style == 4:
+                    k = 1
+                ctx = BranchContext(A, eta, gamma, c=c, k=k, gamma_den=gden)
+                if ctx.P * p ** (ctx.k_work - 1) > 20_000:
+                    continue
+                got = brute_force_zero_oracle(ctx)
+                assert got == full_sweep(ctx), (A, eta, gamma, c, k, gden)
+                compared += 1
+                nonempty += bool(got)
+    assert nonempty >= 120, (compared, nonempty)
